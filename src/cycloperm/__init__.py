@@ -11,7 +11,6 @@ from .forests import (
     DecoratedForest,
     LabeledForest,
     PartialDecoratedForest,
-    RootedForestCountTable,
     abel_eval,
     enumerate_decorated_forests,
     enumerate_partial_decorated_forests,
@@ -21,7 +20,7 @@ from .forests import (
     reduce_decorated_forest,
     rooted_forest_counts,
 )
-from .intlin import IntMatrix, determinant, rank, semiopen_lattice_count
+from .intlin import IntMatrix, determinant, semiopen_lattice_count
 from .linkage import (
     CyclicPartition,
     LinkageError,
@@ -42,8 +41,6 @@ from .linkage import (
 )
 from .zonotope import (
     NormalizedVolume,
-    VirtualZonotope,
-    cyclopermutohedron_generators,
     lattice_count_bruteforce,
     lattice_count_closed_form,
     permutohedron_lattice_count,
@@ -60,7 +57,6 @@ __all__ = [
     "DecoratedForest",
     "LabeledForest",
     "PartialDecoratedForest",
-    "RootedForestCountTable",
     "abel_eval",
     "enumerate_decorated_forests",
     "enumerate_partial_decorated_forests",
@@ -71,7 +67,6 @@ __all__ = [
     "rooted_forest_counts",
     "IntMatrix",
     "determinant",
-    "rank",
     "semiopen_lattice_count",
     "CyclicPartition",
     "LinkageError",
@@ -90,8 +85,6 @@ __all__ = [
     "moduli_volume_theorem",
     "validate",
     "NormalizedVolume",
-    "VirtualZonotope",
-    "cyclopermutohedron_generators",
     "lattice_count_bruteforce",
     "lattice_count_closed_form",
     "permutohedron_lattice_count",

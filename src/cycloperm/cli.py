@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -64,11 +65,16 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
     return format(val, "e")
 
 
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?\s*", re.ASCII)
+
+
 def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    """An integer, a decimal d+.d+ or a fraction d+/d+ with a nonzero
+    denominator, in ASCII digits, with an optional sign and surrounding
+    whitespace."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text)
 
 
 def parse_lengths(text: str) -> list[Fraction]:
@@ -176,6 +182,13 @@ def _run_verify(args) -> int:
     return 3 if failed else 0
 
 
+def _jobs(text: str) -> int:
+    """argparse type of --jobs: an integer N >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer N >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycloperm",
@@ -183,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--jobs", type=int, default=1, help="parallelism cap for brute-force scans")
+    common.add_argument("--jobs", type=_jobs, default=1, help="parallelism cap N >= 1 for brute-force scans")
     groups = parser.add_subparsers(dest="group", required=True)
 
     cyclo = groups.add_parser("cyclo", help="cyclopermutohedron").add_subparsers(

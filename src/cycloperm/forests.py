@@ -332,29 +332,16 @@ def forest_gcd_sum(v: int) -> int:
     return total
 
 
-@dataclass(frozen=True, eq=True)
-class RootedForestCountTable:
-    """Counts t[k] of rooted labeled forests on [n] with exactly k trees."""
-
-    n: int
-    counts: dict[int, int]
-
-    def polynomial_value(self, x: int | Fraction) -> int | Fraction:
-        """Evaluate sum_k t[k] * x^k; the empty table (n = 0) evaluates to 1."""
-        if self.n == 0:
-            return x ** 0
-        return sum(t * x ** k for k, t in sorted(self.counts.items()))
-
-
-def rooted_forest_counts(n: int) -> RootedForestCountTable:
-    """t_{n,k} = C(n-1, k-1) * n^(n-k); the generating identity
-    sum_k t_{n,k} x^k = x (x + n)^(n-1) pins the whole table."""
+def rooted_forest_counts(n: int) -> dict[int, int]:
+    """{k: t_{n,k}}, the rooted labeled forests on [n] with exactly k trees:
+    t_{n,k} = C(n-1, k-1) * n^(n-k).  The generating identity
+    sum_k t_{n,k} x^k = x (x + n)^(n-1) pins the whole table; for n = 0 the
+    empty forest gives {0: 1}."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return RootedForestCountTable(0, {})
-    counts = {k: math.comb(n - 1, k - 1) * n ** (n - k) for k in range(1, n + 1)}
-    return RootedForestCountTable(n, counts)
+        return {0: 1}
+    return {k: math.comb(n - 1, k - 1) * n ** (n - k) for k in range(1, n + 1)}
 
 
 def abel_eval(n: int, a: int | Fraction, x: int | Fraction) -> Fraction:

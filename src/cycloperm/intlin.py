@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants, rank, semiopen brick counts.
+"""Exact integer linear algebra: determinants and semiopen brick counts.
 
 Determinants use Bareiss fraction-free elimination, so every intermediate
 value is an integer and every division is exact.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -62,9 +61,6 @@ class IntMatrix:
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def submatrix_rows(self, indices: Sequence[int]) -> IntMatrix:
-        return IntMatrix.from_rows([self.row(i) for i in indices])
-
 
 def det_rows(rows: list[list[int]]) -> int:
     """Determinant of a square integer matrix given as row lists (Bareiss)."""
@@ -101,27 +97,6 @@ def determinant(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     return det_rows(m.row_lists())
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals (exact Gaussian elimination)."""
-    rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, m.rows):
-            if rows[i][c] != 0:
-                factor = rows[i][c] / pivot
-                for j in range(c, m.cols):
-                    rows[i][j] -= factor * rows[r][j]
-        r += 1
-        if r == m.rows:
-            break
-    return r
 
 
 def semiopen_lattice_count(columns: IntMatrix) -> int:

@@ -170,23 +170,19 @@ def moduli_volume_forests(spec: LinkageSpec, *, bound: int = 6) -> NormalizedVol
 # --- Betti numbers ---
 
 
-def betti(spec: LinkageSpec, k: int, *, dual_degree: int | None = None) -> int:
-    """k-th Betti number of M(L): a_k + a_{d-k} with d = n - 2 by default.
-
-    The default degree makes the numbers symmetric (beta_k = beta_{n-2-k})
-    and consistent with the Euler characteristic of the cell complex;
-    dual_degree = n - 3 reproduces an alternative convention found in the
-    literature."""
+def betti(spec: LinkageSpec, k: int) -> int:
+    """k-th Betti number of M(L): a_k + a_{n-2-k}.  The numbers are
+    symmetric (beta_k = beta_{n-2-k}) and consistent with the Euler
+    characteristic of the cell complex."""
     n = spec.n
     if not 0 <= k <= n - 2:
         raise ValueError(f"k must lie in 0..{n - 2}")
-    d = n - 2 if dual_degree is None else dual_degree
     prof = a_profile(spec)
-    return prof.of(k) + prof.of(d - k)
+    return prof.of(k) + prof.of(n - 2 - k)
 
 
-def betti_vector(spec: LinkageSpec, *, dual_degree: int | None = None) -> tuple[int, ...]:
-    return tuple(betti(spec, k, dual_degree=dual_degree) for k in range(spec.n - 1))
+def betti_vector(spec: LinkageSpec) -> tuple[int, ...]:
+    return tuple(betti(spec, k) for k in range(spec.n - 1))
 
 
 # --- the cell complex ---

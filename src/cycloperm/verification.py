@@ -7,9 +7,11 @@ subcommand.  A failure means two routes that must agree did not.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
 
 from . import forests, intlin, linkage, oracle, zonotope
@@ -55,16 +57,14 @@ def _check_forest_counts(n_max: int, jobs: int) -> str:
 def _check_rooted_forest_tables(n_max: int, jobs: int) -> str:
     for n in range(0, max(n_max, 8) + 1):
         table = forests.rooted_forest_counts(n)
-        for x in (-n, -2, -1, 0, 1, 3, Fraction(1, 2)):
-            assert table.polynomial_value(x) == forests.abel_eval(n, -1, x), (
+        for x in (-n, -2, -1, 0, 1, 2, 3, Fraction(1, 2)):
+            assert sum(t * x ** k for k, t in table.items()) == forests.abel_eval(n, -1, x), (
                 f"table identity failed at n={n}, x={x}"
             )
     return f"sum_k t(n,k) x^k = x(x+n)^(n-1) for n <= {max(n_max, 8)}"
 
 
 def _check_grouped_abel_identity(n_max: int, jobs: int) -> str:
-    import math
-
     top = max(n_max, 10)
     for n in range(2, top + 1):
         lhs = sum(
@@ -83,13 +83,28 @@ def _check_grouped_abel_identity(n_max: int, jobs: int) -> str:
 def _check_determinant_lemma(n_max: int, jobs: int) -> str:
     top = min(n_max, 5)
     for n in range(2, top + 1):
+        decorated = set()
         for d in forests.enumerate_decorated_forests(n):
             unit = abs(intlin.determinant(zonotope.forest_det_matrix(d, marks_as="unit")))
             radial = abs(intlin.determinant(zonotope.forest_det_matrix(d, marks_as="radial")))
             N = d.free_tree_size
             assert unit == N, f"unit det != N(F) at n={n}"
             assert radial == n ** d.mark_count * N, f"radial det != n^m N(F) at n={n}"
-    return f"det lemma exhaustive for n <= {top}"
+            decorated.add((d.forest.edges, tuple(sorted(d.marked))))
+        # every other selection of n - 1 edge and radial columns is singular
+        ones = list(zonotope.ones_vector(n))
+        all_edges = list(combinations(range(1, n + 1), 2))
+        for icount in range(n):
+            for edges in combinations(all_edges, icount):
+                for marks in combinations(range(1, n + 1), n - 1 - icount):
+                    cols = [list(zonotope.edge_vector(n, i, j)) for i, j in edges]
+                    cols += [list(zonotope.radial_vector(n, k)) for k in marks]
+                    cols.append(ones)
+                    det = intlin.determinant(intlin.IntMatrix.from_columns(cols, dim=n))
+                    assert (det != 0) == ((edges, marks) in decorated), (
+                        f"det {det} for edges {edges}, marks {marks} at n={n}"
+                    )
+    return f"det lemma exhaustive for n <= {top}; non-forest selections have det 0"
 
 
 def _check_cyclo_volume(n_max: int, jobs: int) -> str:
@@ -118,13 +133,18 @@ def _check_cyclo_lattice(n_max: int, jobs: int) -> str:
 
 
 def _check_sharp_routes(n_max: int, jobs: int) -> str:
-    for m, expected in (
-        (_WORKED_1, 1),
-        (_WORKED_2, 4),
-        (_WORKED_3, 2),
+    # the worked examples: their columns are the worked matrices of the
+    # paper up to column signs
+    for edges, mark, expected in (
+        ([(1, 2), (2, 3), (4, 5)], 6, 1),
+        ([(1, 2), (3, 4), (4, 5), (5, 6)], 2, 4),
+        ([(1, 2), (3, 4), (4, 5), (5, 6)], 4, 2),
     ):
-        assert intlin.semiopen_lattice_count(m) == expected
-        assert oracle.semiopen_count_direct(m) == expected
+        p = forests.PartialDecoratedForest(forests.LabeledForest(6, edges), [mark])
+        cols = zonotope.forest_columns(p)
+        assert zonotope.sharp_of_partial_forest(p) == expected, f"sharp of worked forest {edges}"
+        assert intlin.semiopen_lattice_count(cols) == expected, f"minors of worked forest {edges}"
+        assert oracle.semiopen_count_direct(cols) == expected, f"scan of worked forest {edges}"
     top = min(n_max, 4)
     for n in range(2, top + 1):
         for p in forests.enumerate_partial_decorated_forests(n):
@@ -141,6 +161,10 @@ def _check_permutohedron(n_max: int, jobs: int) -> str:
         assert zonotope.permutohedron_lattice_count(n) == oracle.permutohedron_lattice_points_direct(n), (
             f"permutohedron point count differs at n={n}"
         )
+    for n in range(2, 9):
+        assert zonotope.permutohedron_volume(n).coeff == n ** (n - 1), (
+            f"volume coefficient must be n^(n-1), not n^(n-2), at n={n}"
+        )
     for n in range(2, min(n_max, 6) + 1):
         total = 0
         ones = list(zonotope.ones_vector(n))
@@ -148,10 +172,8 @@ def _check_permutohedron(n_max: int, jobs: int) -> str:
             cols = [list(zonotope.edge_vector(n, i, j)) for i, j in tree.edges]
             cols.append(ones)
             total += abs(intlin.determinant(intlin.IntMatrix.from_columns(cols, dim=n)))
-        vol = zonotope.permutohedron_volume(n)
-        assert vol.coeff == total, f"tree determinant sum differs at n={n}"
-        assert vol.coeff == n ** (n - 1) and vol.coeff != n ** (n - 2), (
-            f"volume coefficient must be n^(n-1), not n^(n-2), at n={n}"
+        assert zonotope.permutohedron_volume(n).coeff == total, (
+            f"tree determinant sum differs at n={n}"
         )
     assert oracle.hexagon_area_direct() == zonotope.permutohedron_volume(3)
     return f"point counts (n <= {top}) and tree-determinant volumes verified; hexagon = 9/sqrt(3)"
@@ -181,6 +203,9 @@ def _check_linkage_volumes(n_max: int, jobs: int) -> str:
         cmp = linkage.equilateral_volume(m)
         assert cmp.forest == cmp.theorem, f"equilateral routes differ at m={m}"
         assert not cmp.agree, f"binomial display unexpectedly agrees at m={m}"
+    cmp = linkage.equilateral_volume(2)
+    assert cmp.binomial_display == zonotope.NormalizedVolume(16, 4), "equilateral display"
+    assert cmp.theorem == zonotope.NormalizedVolume(-80, 4), "equilateral theorem value"
     return f"three named + {checked} random linkages agree across routes; equilateral display flagged"
 
 
@@ -220,37 +245,6 @@ def _random_linkage(rng: random.Random, bars: int) -> linkage.LinkageSpec:
         except linkage.LinkageError:
             continue
 
-
-_WORKED_1 = intlin.IntMatrix.from_rows(
-    [
-        [1, 0, 0, -1],
-        [-1, 1, 0, -1],
-        [0, -1, 0, -1],
-        [0, 0, 1, -1],
-        [0, 0, -1, -1],
-        [0, 0, 0, 5],
-    ]
-)
-_WORKED_2 = intlin.IntMatrix.from_rows(
-    [
-        [1, 0, 0, 0, -1],
-        [-1, 0, 0, 0, 5],
-        [0, -1, 0, 0, -1],
-        [0, 1, -1, 0, -1],
-        [0, 0, 1, 1, -1],
-        [0, 0, 0, -1, -1],
-    ]
-)
-_WORKED_3 = intlin.IntMatrix.from_rows(
-    [
-        [1, 0, 0, 0, -1],
-        [-1, 0, 0, 0, -1],
-        [0, -1, 0, 0, -1],
-        [0, 1, -1, 0, 5],
-        [0, 0, 1, 1, -1],
-        [0, 0, 0, -1, -1],
-    ]
-)
 
 _CHECKS: list[tuple[str, Callable[[int, int], str]]] = [
     ("prufer-roundtrip-cayley", _check_prufer_roundtrip),

@@ -16,57 +16,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .forests import (
     DecoratedForest,
     PartialDecoratedForest,
+    abel_eval,
     enumerate_decorated_forests,
     forest_count,
     forest_gcd_sum,
-    rooted_forest_counts,
 )
 from .intlin import IntMatrix, det_rows, semiopen_lattice_count
-
-EDGE = "edge"
-RADIAL = "radial"
-TRANSLATION = "translation"
-
-
-@dataclass(frozen=True)
-class Generator:
-    """One generating segment (or translation vector) with its signed weight."""
-
-    kind: str
-    indices: tuple[int, ...]
-    vector: tuple[int, ...]
-    weight: int
-
-    def __post_init__(self):
-        if self.kind not in (EDGE, RADIAL, TRANSLATION):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.weight not in (-1, 1):
-            raise ValueError("weight must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class VirtualZonotope:
-    """Formal signed Minkowski sum of segments in Z^dim."""
-
-    dim: int
-    generators: tuple[Generator, ...]
-
-    def __post_init__(self):
-        for g in self.generators:
-            if len(g.vector) != self.dim:
-                raise ValueError("generator dimension mismatch")
-
-    def edge_generators(self) -> tuple[Generator, ...]:
-        return tuple(g for g in self.generators if g.kind == EDGE)
-
-    def radial_generators(self) -> tuple[Generator, ...]:
-        return tuple(g for g in self.generators if g.kind == RADIAL)
-
 
 @dataclass(frozen=True)
 class NormalizedVolume:
@@ -108,21 +68,6 @@ def ones_vector(n: int) -> tuple[int, ...]:
     return (1,) * n
 
 
-def cyclopermutohedron_generators(n: int) -> VirtualZonotope:
-    """Generators of the cyclopermutohedron CP_{n+1} in R^n: all edge
-    segments with weight +1, all radial segments with weight -1, and the
-    translation e."""
-    if n < 2:
-        raise ValueError("n too small: need n >= 2")
-    gens = [
-        Generator(EDGE, (i, j), edge_vector(n, i, j), 1)
-        for i, j in combinations(range(1, n + 1), 2)
-    ]
-    gens += [Generator(RADIAL, (i,), radial_vector(n, i), -1) for i in range(1, n + 1)]
-    gens.append(Generator(TRANSLATION, (), ones_vector(n), 1))
-    return VirtualZonotope(n, tuple(gens))
-
-
 # --- matrices attached to forests ---
 
 
@@ -155,13 +100,6 @@ def forest_det_matrix(forest: DecoratedForest, marks_as: str = "radial") -> IntM
     return IntMatrix.from_columns(cols, dim=n)
 
 
-def det_of_decorated_forest(forest: DecoratedForest) -> int:
-    """|det| of the unit-mark matrix of a decorated forest: the number of
-    vertices of the free tree.  With radial mark columns the determinant
-    picks up a factor n per mark."""
-    return forest.free_tree_size
-
-
 def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
     """Lattice points in the semiopen brick of a partial decorated forest:
     n^(|marks| - 1) * gcd(free component sizes), with value 1 when there are
@@ -177,6 +115,23 @@ def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
 
 
 # --- volumes ---
+
+
+def _parallel_sum(chunk, n: int, items: list, jobs: int) -> int:
+    """Sum of chunk((n, part)) over contiguous parts of `items`: one part per
+    fork-pool worker when jobs > 1 and there are more than 1000 items, else
+    a single part in this process."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and len(items) > 1000:
+        import multiprocessing as mp
+
+        workers = min(jobs, mp.cpu_count())
+        step = (len(items) + workers - 1) // workers
+        chunks = [(n, items[i:i + step]) for i in range(0, len(items), step)]
+        with mp.get_context("fork").Pool(workers) as pool:
+            return sum(pool.map(chunk, chunks))
+    return chunk((n, items))
 
 
 def _volume_chunk(args) -> int:
@@ -204,17 +159,7 @@ def volume_bruteforce(n: int, *, bound: int = 7, jobs: int = 1) -> NormalizedVol
         raise ValueError(f"n={n} exceeds bound={bound}; use volume_by_forests or volume_closed_form")
     items = [(edge_vector(n, i, j), False) for i, j in combinations(range(1, n + 1), 2)]
     items += [(radial_vector(n, i), True) for i in range(1, n + 1)]
-    combos = list(combinations(items, n - 1))
-    if jobs > 1 and len(combos) > 1000:
-        import multiprocessing as mp
-
-        workers = min(jobs, mp.cpu_count())
-        step = (len(combos) + workers - 1) // workers
-        chunks = [(n, combos[i:i + step]) for i in range(0, len(combos), step)]
-        with mp.get_context("fork").Pool(workers) as pool:
-            total = sum(pool.map(_volume_chunk, chunks))
-    else:
-        total = _volume_chunk((n, combos))
+    total = _parallel_sum(_volume_chunk, n, list(combinations(items, n - 1)), jobs)
     return NormalizedVolume(Fraction(total), n)
 
 
@@ -222,14 +167,13 @@ def volume_by_forests(n: int) -> NormalizedVolume:
     """Volume of the cyclopermutohedron as the decorated-forest sum
     sum_F (-n)^(#marks) * N(F), evaluated grouped: a free tree on N chosen
     vertices and a rooted forest with k trees on the rest contribute
-    C(n,N) N^(N-2) * N * (-n)^k * t_{n-N,k}."""
+    C(n,N) N^(N-2) * N * (-n)^k * t_{n-N,k}, and the sum over k of
+    t_{n-N,k} x^k is the Abel polynomial x (x + n - N)^(n-N-1) at x = -n."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    total = 0
-    for N in range(1, n + 1):
-        table = rooted_forest_counts(n - N)
-        rooted = table.polynomial_value(-n)
-        total += math.comb(n, N) * N ** max(N - 2, 0) * N * rooted
+    total = sum(
+        math.comb(n, N) * N ** (N - 1) * abel_eval(n - N, -1, -n) for N in range(1, n + 1)
+    )
     return NormalizedVolume(Fraction(total), n)
 
 
@@ -286,15 +230,7 @@ def lattice_count_bruteforce(n: int, *, bound: int = 6, jobs: int = 1) -> int:
             for mcount in range(n - icount):
                 for marks in combinations(range(1, n + 1), mcount):
                     pairs.append((edges, marks))
-    if jobs > 1 and len(pairs) > 1000:
-        import multiprocessing as mp
-
-        workers = min(jobs, mp.cpu_count())
-        step = (len(pairs) + workers - 1) // workers
-        chunks = [(n, pairs[i:i + step]) for i in range(0, len(pairs), step)]
-        with mp.get_context("fork").Pool(workers) as pool:
-            return sum(pool.map(_lattice_chunk, chunks))
-    return _lattice_chunk((n, pairs))
+    return _parallel_sum(_lattice_chunk, n, pairs, jobs)
 
 
 def lattice_count_closed_form(n: int) -> int:

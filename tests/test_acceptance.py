@@ -1,70 +1,35 @@
-"""End-to-end acceptance checks.
+"""End-to-end acceptance: every cross-check of `cycloperm verify` passes.
 
-One test per criterion; each prints a PASS line when its assertions hold.
-All comparisons are exact (integer or rational equality, byte-identical CLI
-output); there are no tolerances.
+One test per named check in `cycloperm.verification`, all read from a single
+`run_all(n_max=6)`, the setting the `verify` benchmark runs.  Each check
+pits a fast route against an independent one in exact arithmetic.  The two
+headline results of the paper, the vanishing volume and its n = 2 exception,
+are also asserted directly on the three volume routes.
 """
 
 from __future__ import annotations
 
-import math
-import random
-import time
 from fractions import Fraction
 
-from cycloperm.cli import run
-from cycloperm.forests import (
-    DecoratedForest,
-    LabeledForest,
-    PartialDecoratedForest,
-    abel_eval,
-    enumerate_decorated_forests,
-    enumerate_trees,
-    forest_count,
-    prufer_decode,
-    prufer_encode,
-    rooted_forest_counts,
-)
-from cycloperm.intlin import IntMatrix, determinant, semiopen_lattice_count
-from cycloperm.linkage import (
-    LinkageError,
-    LinkageSpec,
-    a_profile,
-    betti_vector,
-    enumerate_cells,
-    equilateral_volume,
-    euler_characteristic,
-    f_vector,
-    moduli_volume_forests,
-    moduli_volume_theorem,
-    validate,
-)
-from cycloperm.oracle import (
-    hexagon_area_direct,
-    permutohedron_lattice_points_direct,
-    semiopen_count_direct,
-)
+import pytest
+
+from cycloperm import verification
 from cycloperm.zonotope import (
     NormalizedVolume,
-    edge_vector,
-    forest_columns,
-    forest_det_matrix,
-    lattice_count_bruteforce,
-    lattice_count_closed_form,
-    ones_vector,
-    permutohedron_lattice_count,
-    permutohedron_volume,
-    radial_vector,
-    sharp_of_partial_forest,
     volume_bruteforce,
     volume_by_forests,
     volume_closed_form,
 )
-from tests.test_intlin import WORKED_MATRICES
 
 
-def _ok(label: str) -> None:
-    print(f"PASS {label}")
+@pytest.fixture(scope="module")
+def results() -> dict[str, verification.CheckResult]:
+    return {r.name: r for r in verification.run_all(n_max=6)}
+
+
+@pytest.mark.parametrize("name", verification.check_names())
+def test_verify_check(results, name):
+    assert results[name].passed, results[name].detail
 
 
 def test_criterion_01_cyclo_volume_vanishes():
@@ -74,7 +39,6 @@ def test_criterion_01_cyclo_volume_vanishes():
         assert volume_by_forests(n).coeff == 0
     for n in range(2, 7):
         assert volume_bruteforce(n) == volume_by_forests(n) == volume_closed_form(n)
-    _ok("criterion 1: cyclopermutohedron volume is 0 for 3 <= n <= 8, routes agree for n <= 6")
 
 
 def test_criterion_02_volume_exception_at_n2():
@@ -83,184 +47,3 @@ def test_criterion_02_volume_exception_at_n2():
     assert volume_by_forests(2) == expected
     assert volume_closed_form(2) == expected
     assert expected.coeff != 0  # the lone exception to the vanishing theorem
-    _ok("criterion 2: n = 2 volume is -2/sqrt(2) on every route")
-
-
-def test_criterion_03_cyclo_lattice_counts():
-    expected = {2: 0, 3: 1, 4: 18}
-    for n, value in expected.items():
-        assert lattice_count_bruteforce(n) == value
-        assert lattice_count_closed_form(n) == value
-    assert lattice_count_bruteforce(5) == lattice_count_closed_form(5)
-    _ok("criterion 3: lattice counts 0, 1, 18 at n = 2, 3, 4; methods agree at n = 5")
-
-
-def test_criterion_04_worked_matrices():
-    worked_forests = [
-        (PartialDecoratedForest(LabeledForest(6, [(1, 2), (2, 3), (4, 5)]), [6]), 1),
-        (PartialDecoratedForest(LabeledForest(6, [(1, 2), (3, 4), (4, 5), (5, 6)]), [2]), 4),
-        (PartialDecoratedForest(LabeledForest(6, [(1, 2), (3, 4), (4, 5), (5, 6)]), [4]), 2),
-    ]
-    for (matrix, expected), (forest, expected2) in zip(WORKED_MATRICES, worked_forests):
-        assert expected == expected2
-        assert sharp_of_partial_forest(forest) == expected
-        assert semiopen_lattice_count(matrix) == expected
-        assert semiopen_count_direct(matrix) == expected
-        assert semiopen_lattice_count(forest_columns(forest)) == expected
-        assert semiopen_count_direct(forest_columns(forest)) == expected
-    _ok("criterion 4: worked matrices give 1, 4, 2 by gcd formula, minor gcds, and point scan")
-
-
-def test_criterion_05_permutohedron():
-    assert [permutohedron_lattice_count(n) for n in range(1, 6)] == [1, 2, 7, 38, 291]
-    for n in range(1, 6):
-        assert permutohedron_lattice_count(n) == permutohedron_lattice_points_direct(n)
-    for n in range(2, 9):
-        coeff = permutohedron_volume(n).coeff
-        assert coeff == n ** (n - 1)
-        assert coeff != n ** (n - 2)  # guard against an off-by-one exponent
-    for n in range(2, 6):
-        total = 0
-        for tree in enumerate_trees(n):
-            cols = [list(edge_vector(n, i, j)) for i, j in tree.edges]
-            cols.append(list(ones_vector(n)))
-            total += abs(determinant(IntMatrix.from_columns(cols, dim=n)))
-        assert permutohedron_volume(n).coeff == total
-    assert hexagon_area_direct() == permutohedron_volume(3) == NormalizedVolume(Fraction(9), 3)
-    _ok("criterion 5: permutohedron points 1,2,7,38,291 and volume n^(n-1)/sqrt(n); hexagon 9/sqrt(3)")
-
-
-def test_criterion_06_abel_identities():
-    for n in range(0, 9):
-        table = rooted_forest_counts(n)
-        for x in (-n, -2, -1, 0, 1, 2, 3, Fraction(1, 2)):
-            assert table.polynomial_value(x) == abel_eval(n, -1, x)
-    for n in range(2, 11):
-        lhs = sum(
-            math.comb(n, N) * N ** (N - 1) * abel_eval(n - N, -1, -n)
-            for N in range(1, n + 1)
-        )
-        rhs = (-1) ** n * n * sum(
-            (-1) ** N * math.comb(n, N) * N ** (n - 2) for N in range(1, n + 1)
-        )
-        assert lhs == rhs
-        if n >= 3:
-            assert lhs == 0
-    _ok("criterion 6: rooted-forest tables match Abel evaluations; grouped identity vanishes for n >= 3")
-
-
-def _random_linkage(rng: random.Random, bars: int) -> LinkageSpec:
-    while True:
-        den = rng.choice([4, 5, 8, 10])
-        nums = sorted(rng.randrange(1, 60) for _ in range(bars))
-        try:
-            return validate([Fraction(v, den) for v in nums])
-        except LinkageError:
-            continue
-
-
-def test_criterion_07_linkage_volumes():
-    named = [
-        (("1.2", 1, 1, "0.8", "2.2"), 14),
-        ((1, 1, 1, 1, 1), -40),
-        ((1, 1, 1, 1, "3.5"), 32),
-    ]
-    for lengths, value in named:
-        spec = validate(lengths)
-        vol = moduli_volume_theorem(spec)
-        assert vol == moduli_volume_forests(spec)
-        assert vol.coeff == value * 2 and vol.radicand == 4  # value = coeff / sqrt(4)
-    rng = random.Random(12345)
-    for bars in (5, 6):
-        for _ in range(10):
-            spec = _random_linkage(rng, bars)
-            assert moduli_volume_theorem(spec) == moduli_volume_forests(spec)
-    cmp2 = equilateral_volume(2)
-    assert cmp2.binomial_display == NormalizedVolume(Fraction(16), 4)  # displayed sum: 8
-    assert cmp2.theorem == cmp2.forest == NormalizedVolume(Fraction(-80), 4)  # actual: -40
-    assert not cmp2.agree
-    # the intermediate profile claimed in the derivation evaluates to yet
-    # another number, 2, confirming the three-way mismatch
-    n = 4
-    claimed = sum((-1) ** k * math.comb(n - 1, k) * (n - k) ** (n - 2) for k in range(3))
-    assert NormalizedVolume(Fraction(n * claimed), n).approx() == 2.0
-    _ok("criterion 7: named volumes 14, -40, 32; twenty random linkages agree; equilateral display flagged")
-
-
-def test_criterion_08_linkage_topology():
-    named = [
-        (("1.2", 1, 1, "0.8", "2.2"), (1, 2, 1), (24, 42, 18), 0),
-        ((1, 1, 1, 1, 1), (1, 8, 1), (24, 60, 30), -6),
-        ((1, 1, 1, 1, "3.5"), (1, 0, 1), (24, 36, 14), 2),
-    ]
-    for lengths, b, f, chi in named:
-        spec = validate(lengths)
-        assert betti_vector(spec) == b
-        assert b == b[::-1]
-        assert f_vector(spec) == f
-        assert euler_characteristic(spec) == chi
-        assert sum((-1) ** k * x for k, x in enumerate(b)) == chi
-        counts = [0] * (spec.n - 1)
-        for cell in enumerate_cells(spec):
-            counts[spec.bar_count - cell.block_count] += 1
-        assert tuple(counts) == f
-    _ok("criterion 8: Betti vectors, f-vectors, and Euler characteristics all consistent")
-
-
-def test_criterion_09_determinant_lemma():
-    from itertools import combinations
-
-    for n in range(2, 6):
-        for d in enumerate_decorated_forests(n):
-            N = d.free_tree_size
-            assert abs(determinant(forest_det_matrix(d, marks_as="unit"))) == N
-            assert abs(determinant(forest_det_matrix(d, marks_as="radial"))) == n ** d.mark_count * N
-        all_edges = list(combinations(range(1, n + 1), 2))
-        for icount in range(n):
-            mcount = n - 1 - icount
-            if mcount > n:
-                continue
-            for edges in combinations(all_edges, icount):
-                for marks in combinations(range(1, n + 1), mcount):
-                    try:
-                        DecoratedForest(LabeledForest(n, edges), marks)
-                        valid = True
-                    except ValueError:
-                        valid = False
-                    cols = [list(edge_vector(n, i, j)) for i, j in edges]
-                    cols += [list(radial_vector(n, k)) for k in marks]
-                    cols.append(list(ones_vector(n)))
-                    det = determinant(IntMatrix.from_columns(cols, dim=n))
-                    assert (det != 0) == valid
-    _ok("criterion 9: determinant lemma exhaustive for n <= 5; non-forest selections vanish")
-
-
-def test_criterion_10_cli_golden(capsys):
-    golden = [
-        (
-            ["cyclo", "points", "--n", "4", "--method", "closed", "--format", "json"],
-            '{"quantity": "cyclo.points", "coeff": "18", "radicand": 1, "approx": "18", "method": "closed", "n": 4}\n',
-        ),
-        (
-            ["cyclo", "volume", "--n", "5", "--method", "forests", "--format", "json"],
-            '{"quantity": "cyclo.volume", "coeff": "0", "radicand": 5, "approx": "0", "method": "forests", "n": 5}\n',
-        ),
-        (
-            ["linkage", "volume", "--lengths", "1.2,1,1,0.8,2.2", "--format", "json"],
-            '{"quantity": "linkage.volume", "coeff": "28", "radicand": 4, "approx": "14", "method": "theorem", "n": 4}\n',
-        ),
-    ]
-    for argv, expected in golden:
-        assert run(argv) == 0
-        first = capsys.readouterr().out
-        assert first == expected
-        assert run(argv) == 0
-        assert capsys.readouterr().out == first
-    start = time.monotonic()
-    code = run(["verify", "--n-max", "5"])
-    out = capsys.readouterr().out
-    elapsed = time.monotonic() - start
-    assert code == 0
-    assert "all 11 checks passed" in out
-    assert elapsed < 600
-    _ok(f"criterion 10: CLI golden outputs byte-stable; verify --n-max 5 green in {elapsed:.1f}s")

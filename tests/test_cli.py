@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cycloperm import verification
+from cycloperm import verification, zonotope
 from cycloperm.cli import approx_string, parse_lengths, parse_rational, run
 
 
@@ -24,6 +26,51 @@ def test_parse_rational():
         parse_rational("abc")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    for text in ("1_0", "\u0661", "1e3", ".5", "5.", "1 / 2", "- 1", "0x10", "\u20031"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
+def _digits(part: str) -> bool:
+    return part != "" and all(c in "0123456789" for c in part)
+
+
+def _in_grammar(text: str) -> bool:
+    """The README grammar, spelled out without a regular expression."""
+    body = text.strip(" \t\n\r\f\v")
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    for sep in "./":
+        if sep in body:
+            head, _, tail = body.partition(sep)
+            return _digits(head) and _digits(tail)
+    return _digits(body)
+
+
+_SPACE = st.text(alphabet=" \t\n", max_size=2)
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=6)
+_GRAMMAR = st.tuples(
+    _SPACE,
+    st.sampled_from(["", "+", "-"]),
+    _DIGITS,
+    st.sampled_from(["", ".", "/"]),
+    _DIGITS,
+    _SPACE,
+).map(lambda p: p[0] + p[1] + p[2] + (p[3] + p[4] if p[3] else "") + p[5])
+_NEAR_MISSES = st.text(alphabet="0123456789+-./_ e\t\u0661\u00b2x", max_size=8)
+
+
+@given(st.one_of(_GRAMMAR, _NEAR_MISSES))
+def test_parse_rational_accepts_exactly_the_grammar(text):
+    try:
+        expected = Fraction(text) if _in_grammar(text) else None
+    except ZeroDivisionError:
+        expected = None
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expected
 
 
 def test_parse_lengths():
@@ -114,6 +161,20 @@ def test_jobs_flag(capsys):
     para = _capture(capsys, ["cyclo", "volume", "--n", "5", "--method", "brute", "--jobs", "2"])
     assert base[0] == para[0] == 0
     assert base[1] == para[1]
+
+
+def test_jobs_below_one_rejected(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite an invalid --jobs")
+
+    monkeypatch.setattr(zonotope, "volume_bruteforce", no_work)
+    monkeypatch.setattr(verification, "run_all", no_work)
+    for jobs in ("0", "-1"):
+        for argv in (["cyclo", "volume", "--n", "5", "--method", "brute"], ["verify"]):
+            code, out, err = _capture(capsys, argv + ["--jobs", jobs])
+            assert code == 2
+            assert out == ""
+            assert "--jobs: must be an integer N >= 1" in err
 
 
 def test_perm_commands(capsys):
@@ -214,9 +275,6 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         verification, "run_all", lambda n_max, jobs=1: [verification.CheckResult("x", False, "boom")]
     )
-    import cycloperm.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod.verification, "run_all", verification.run_all)
     code, out, _ = _capture(capsys, ["verify"])
     assert code == 3
     assert "FAIL x: boom" in out

@@ -236,10 +236,11 @@ def test_forest_gcd_sum_matches_bruteforce():
 
 
 def test_rooted_forest_count_tables():
-    assert rooted_forest_counts(2).counts == {1: 2, 2: 1}
-    assert rooted_forest_counts(3).counts == {1: 9, 2: 6, 3: 1}
-    assert rooted_forest_counts(0).counts == {}
-    assert rooted_forest_counts(0).polynomial_value(7) == 1
+    assert rooted_forest_counts(2) == {1: 2, 2: 1}
+    assert rooted_forest_counts(3) == {1: 9, 2: 6, 3: 1}
+    assert rooted_forest_counts(0) == {0: 1}  # the empty forest has no trees
+    with pytest.raises(ValueError):
+        rooted_forest_counts(-1)
 
 
 def test_rooted_forest_counts_match_bruteforce():
@@ -252,7 +253,7 @@ def test_rooted_forest_counts_match_bruteforce():
             for c in comps:
                 rooted *= len(c)
             table[k] = table.get(k, 0) + rooted
-        assert rooted_forest_counts(n).counts == table
+        assert rooted_forest_counts(n) == table
 
 
 def test_rooted_forest_polynomial_identity():
@@ -260,7 +261,7 @@ def test_rooted_forest_polynomial_identity():
     for n in range(0, 9):
         tbl = rooted_forest_counts(n)
         for x in (-n, -3, -1, 0, 1, 2, Fraction(1, 2)):
-            assert tbl.polynomial_value(x) == abel_eval(n, -1, x)
+            assert sum(t * x ** k for k, t in tbl.items()) == abel_eval(n, -1, x)
 
 
 def test_abel_eval_basics():

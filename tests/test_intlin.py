@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from cycloperm.intlin import IntMatrix, det_rows, determinant, rank, semiopen_lattice_count
+from cycloperm.intlin import IntMatrix, det_rows, determinant, semiopen_lattice_count
 
 # sign-free reference: Leibniz expansion, no elimination involved
 
@@ -78,26 +78,6 @@ def test_determinant_properties():
         dup = [list(r) for r in rows]
         dup[i] = list(dup[j])
         assert det_rows(dup) == 0
-
-
-def test_rank():
-    assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])) == 2
-    assert rank(IntMatrix(3, 0, [])) == 0
-    assert rank(IntMatrix.from_rows([[0, 0], [0, 0]])) == 0
-    rng = random.Random(7)
-    for _ in range(25):
-        r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)])
-        # reference: size of the largest non-vanishing square minor
-        ref = 0
-        for k in range(1, min(r, c) + 1):
-            for ri in combinations(range(r), k):
-                for ci in combinations(range(c), k):
-                    sub = [[m.row(i)[j] for j in ci] for i in ri]
-                    if _det_leibniz(sub) != 0:
-                        ref = max(ref, k)
-        assert rank(m) == ref
 
 
 def test_semiopen_lattice_count_basics():

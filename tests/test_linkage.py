@@ -147,8 +147,6 @@ def test_betti_numbers():
         betti(TORUS, 3)
     with pytest.raises(ValueError):
         betti(TORUS, -1)
-    # alternative indexing shifts the dual term
-    assert betti_vector(PENTAGON, dual_degree=PENTAGON.n - 3) == (5, 5, 0)
 
 
 def test_betti_symmetry():
