@@ -65,6 +65,10 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
     return format(val, "e")
 
 
+# Largest n that forests phi/Phi, perm points and cyclo points --method
+# closed accept; n = 300 takes under a second cold.
+CLOSED_N_MAX = 300
+
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?\s*", re.ASCII)
 
 
@@ -92,6 +96,13 @@ def _int_record(quantity: str, value: int | Fraction, method: str, n: int) -> Re
     return ResultRecord(quantity, Fraction(value), 1, method, n)
 
 
+def _closed_n(n: int) -> int:
+    """n, once it is within the cap of the closed forest-count routes."""
+    if n > CLOSED_N_MAX:
+        raise ValueError(f"n={n} exceeds the cap n <= {CLOSED_N_MAX} of the closed forest-count routes")
+    return n
+
+
 def _run_cyclo(args) -> list[ResultRecord]:
     n = args.n
     if args.sub == "volume":
@@ -107,7 +118,7 @@ def _run_cyclo(args) -> list[ResultRecord]:
     if method == "brute":
         value = zonotope.lattice_count_bruteforce(n, jobs=args.jobs)
     else:
-        value = zonotope.lattice_count_closed_form(n)
+        value = zonotope.lattice_count_closed_form(_closed_n(n))
     return [_int_record("cyclo.points", value, method, n)]
 
 
@@ -115,7 +126,7 @@ def _run_perm(args) -> list[ResultRecord]:
     n = args.n
     if args.sub == "volume":
         return [_volume_record("perm.volume", zonotope.permutohedron_volume(n), "closed", n)]
-    return [_int_record("perm.points", zonotope.permutohedron_lattice_count(n), "closed", n)]
+    return [_int_record("perm.points", zonotope.permutohedron_lattice_count(_closed_n(n)), "closed", n)]
 
 
 def _run_linkage(args) -> list[ResultRecord]:
@@ -151,9 +162,9 @@ def _run_linkage(args) -> list[ResultRecord]:
 def _run_forests(args) -> list[ResultRecord]:
     n = args.n
     if args.sub == "phi":
-        return [_int_record("forests.phi", forests_mod.forest_count(n), "partition-sum", n)]
+        return [_int_record("forests.phi", forests_mod.forest_count(_closed_n(n)), "partition-sum", n)]
     if args.sub == "Phi":
-        return [_int_record("forests.Phi", forests_mod.forest_gcd_sum(n), "partition-sum", n)]
+        return [_int_record("forests.Phi", forests_mod.forest_gcd_sum(_closed_n(n)), "partition-sum", n)]
     value = forests_mod.abel_eval(n, parse_rational(args.a), parse_rational(args.x))
     return [_int_record("forests.abel", value, "closed", n)]
 
@@ -182,9 +193,20 @@ def _run_verify(args) -> int:
     return 3 if failed else 0
 
 
+_COUNT = re.compile(r"\s*[0-9]+\s*", re.ASCII)
+
+
+def _count(text: str) -> int:
+    """argparse type of --n and --n-max: ASCII digits with optional
+    surrounding whitespace."""
+    if not _COUNT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _jobs(text: str) -> int:
-    """argparse type of --jobs: an integer N >= 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
+    """argparse type of --jobs: an integer N >= 1 in ASCII digits."""
+    if not _COUNT.fullmatch(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer N >= 1, got {text!r}")
     return int(text)
 
@@ -203,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     cv = cyclo.add_parser("volume", parents=[common], help="signed volume")
-    cv.add_argument("--n", type=int, required=True)
+    cv.add_argument("--n", type=_count, required=True)
     cv.add_argument(
         "--method",
         choices=("brute", "forests", "closed"),
@@ -211,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
         "closed: 0 for n >= 3, -2/sqrt(2) at n = 2",
     )
     cp = cyclo.add_parser("points", parents=[common], help="signed lattice-point count")
-    cp.add_argument("--n", type=int, required=True)
+    cp.add_argument("--n", type=_count, required=True)
     cp.add_argument("--method", choices=("brute", "closed"))
 
     perm = groups.add_parser("perm", help="permutohedron").add_subparsers(dest="sub", required=True)
     for sub in ("volume", "points"):
         p = perm.add_parser(sub, parents=[common])
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_count, required=True)
 
     link = groups.add_parser("linkage", help="polygonal linkage configuration space").add_subparsers(
         dest="sub", required=True
@@ -234,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for sub in ("phi", "Phi"):
         fp = fo.add_parser(sub, parents=[common])
-        fp.add_argument("--n", type=int, required=True)
+        fp.add_argument("--n", type=_count, required=True)
     fa = fo.add_parser("abel", parents=[common])
-    fa.add_argument("--n", type=int, required=True)
+    fa.add_argument("--n", type=_count, required=True)
     fa.add_argument("--a", required=True, help="rational parameter a")
     fa.add_argument("--x", required=True, help="rational evaluation point x")
 
     ver = groups.add_parser("verify", parents=[common], help="run the cross-check suite")
-    ver.add_argument("--n-max", type=int, default=5, dest="n_max")
+    ver.add_argument("--n-max", type=_count, default=5, dest="n_max")
     return parser
 
 

@@ -269,67 +269,57 @@ def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]
             maxes[j] = maxes[j - 1]
 
 
-def integer_partitions(total: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of `total` into weakly decreasing positive parts."""
-    if total < 0:
-        raise ValueError("total must be non-negative")
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(total, total)
-
-
-def _labelings(parts: tuple[int, ...]) -> int:
-    """Number of set partitions of [sum(parts)] with the given block sizes."""
-    n = sum(parts)
-    count = math.factorial(n)
-    for p in parts:
-        count //= math.factorial(p)
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
-
-
 def _trees_with(size: int) -> int:
     # Cayley count; sizes 1 and 2 both admit exactly one tree.
     return size ** max(size - 2, 0)
 
 
+# d -> [F_d(0), F_d(1), ...]; each list is replaced whole, never mutated.
+_DIVISIBLE_TABLES: dict[int, list[int]] = {}
+
+
+def _forests_divisible(d: int, n: int) -> list[int]:
+    """F_d(0..m) for some m >= n, where F_d(m) counts the labeled forests on
+    [m] whose tree sizes are all multiples of d.  By the exponential
+    formula, splitting off the tree of vertex m:
+    F_d(m) = sum_{k in d, 2d, ... <= m} C(m-1, k-1) k^(k-2) F_d(m-k),
+    with F_d(0) = 1 and F_d(m) = 0 unless d divides m."""
+    table = _DIVISIBLE_TABLES.get(d, [1])
+    if len(table) > n:
+        return table
+    table = list(table)
+    for m in range(len(table), n + 1):
+        table.append(
+            0
+            if m % d
+            else sum(
+                math.comb(m - 1, k - 1) * _trees_with(k) * table[m - k]
+                for k in range(d, m + 1, d)
+            )
+        )
+    _DIVISIBLE_TABLES[d] = table  # publish only the finished list
+    return table
+
+
+def _totient(d: int) -> int:
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
 def forest_count(n: int) -> int:
-    """Number of labeled forests on [n]: sum over block-size partitions of
-    the labelings count times a Cayley factor per block.  forest_count(0) = 1
-    (the empty forest)."""
+    """Number of labeled forests on [n] (OEIS A001858), from the
+    exponential-formula table F_1.  forest_count(0) = 1 (the empty
+    forest)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = 0
-    for parts in integer_partitions(n):
-        term = _labelings(parts)
-        for p in parts:
-            term *= _trees_with(p)
-        total += term
-    return total
+    return _forests_divisible(1, n)[n]
 
 
 def forest_gcd_sum(v: int) -> int:
-    """Sum over labeled forests on [v] of gcd(component sizes)."""
+    """Sum over labeled forests on [v] of gcd(component sizes):
+    sum_{d | v} totient(d) F_d(v), because gcd = sum_{d | gcd} totient(d)."""
     if v < 1:
         raise ValueError("v must be positive")
-    total = 0
-    for parts in integer_partitions(v):
-        term = _labelings(parts) * math.gcd(*parts)
-        for p in parts:
-            term *= _trees_with(p)
-        total += term
-    return total
+    return sum(_totient(d) * _forests_divisible(d, v)[v] for d in range(1, v + 1) if v % d == 0)
 
 
 def rooted_forest_counts(n: int) -> dict[int, int]:

@@ -177,12 +177,16 @@ def betti(spec: LinkageSpec, k: int) -> int:
     n = spec.n
     if not 0 <= k <= n - 2:
         raise ValueError(f"k must lie in 0..{n - 2}")
-    prof = a_profile(spec)
-    return prof.of(k) + prof.of(n - 2 - k)
+    return _betti_of(a_profile(spec), k)
 
 
 def betti_vector(spec: LinkageSpec) -> tuple[int, ...]:
-    return tuple(betti(spec, k) for k in range(spec.n - 1))
+    prof = a_profile(spec)
+    return tuple(_betti_of(prof, k) for k in range(spec.n - 1))
+
+
+def _betti_of(prof: ShortSetProfile, k: int) -> int:
+    return prof.of(k) + prof.of(prof.n - 2 - k)
 
 
 # --- the cell complex ---

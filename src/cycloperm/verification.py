@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import forests, intlin, linkage, oracle, zonotope
 
@@ -38,20 +38,72 @@ def _check_prufer_roundtrip(n_max: int, jobs: int) -> str:
     return f"trees enumerated and round-tripped for n <= {top}"
 
 
+def _integer_partitions(total: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of `total` into weakly decreasing positive parts."""
+    if total < 0:
+        raise ValueError("total must be non-negative")
+
+    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    yield from rec(total, total)
+
+
+def _labelings(parts: tuple[int, ...]) -> int:
+    """Number of set partitions of [sum(parts)] with the given block sizes."""
+    n = sum(parts)
+    count = math.factorial(n)
+    for p in parts:
+        count //= math.factorial(p)
+    mult: dict[int, int] = {}
+    for p in parts:
+        mult[p] = mult.get(p, 0) + 1
+    for m in mult.values():
+        count //= math.factorial(m)
+    return count
+
+
+def _forest_sums_by_partitions(n: int) -> tuple[int, int]:
+    """(phi(n), Phi(n)) summed over the integer partitions of n: the
+    labelings count times a Cayley factor per block, Phi weighting each
+    term by the gcd of the parts.  Super-polynomial in n."""
+    phi = gcd_sum = 0
+    for parts in _integer_partitions(n):
+        count = _labelings(parts)
+        for p in parts:
+            count *= p ** max(p - 2, 0)
+        phi += count
+        gcd_sum += count * math.gcd(*parts)
+    return phi, gcd_sum
+
+
 def _check_forest_counts(n_max: int, jobs: int) -> str:
     known = {1: 1, 2: 2, 3: 7, 4: 38, 5: 291}
     for n, value in known.items():
         assert forests.forest_count(n) == value, f"phi({n}) != {value}"
-    top = min(n_max, 5)
-    for n in range(1, top + 1):
-        by_enum = sum(
-            1 for p in forests.enumerate_partial_decorated_forests(n) if not p.marked
-        )
-        assert forests.forest_count(n) == by_enum, f"phi({n}) mismatch vs enumeration"
     known_gcd = {1: 1, 2: 3, 3: 13, 4: 89}
     for v, value in known_gcd.items():
         assert forests.forest_gcd_sum(v) == value, f"Phi({v}) != {value}"
-    return f"phi and Phi match enumeration for n <= {top}"
+    sums_top = 20  # the partition sums take tens of ms up to here
+    for n in range(1, sums_top + 1):
+        phi, gcd_sum = _forest_sums_by_partitions(n)
+        assert forests.forest_count(n) == phi, f"phi({n}) mismatch vs partition sum"
+        assert forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs partition sum"
+    top = min(n_max, 5)
+    for n in range(1, top + 1):
+        phi = gcd_sum = 0
+        for p in forests.enumerate_partial_decorated_forests(n):
+            if not p.marked:
+                phi += 1
+                gcd_sum += math.gcd(*(len(c) for c in p.forest.components()))
+        assert forests.forest_count(n) == phi, f"phi({n}) mismatch vs enumeration"
+        assert forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs enumeration"
+    return f"phi and Phi match the partition sums for n <= {sums_top} and enumeration for n <= {top}"
 
 
 def _check_rooted_forest_tables(n_max: int, jobs: int) -> str:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycloperm import verification, zonotope
+from cycloperm import forests, verification, zonotope
 from cycloperm.cli import approx_string, parse_lengths, parse_rational, run
 
 
@@ -168,13 +168,43 @@ def test_jobs_below_one_rejected(capsys, monkeypatch):
         raise AssertionError("work started despite an invalid --jobs")
 
     monkeypatch.setattr(zonotope, "volume_bruteforce", no_work)
+    monkeypatch.setattr(zonotope, "lattice_count_closed_form", no_work)
+    monkeypatch.setattr(zonotope, "permutohedron_lattice_count", no_work)
     monkeypatch.setattr(verification, "run_all", no_work)
-    for jobs in ("0", "-1"):
-        for argv in (["cyclo", "volume", "--n", "5", "--method", "brute"], ["verify"]):
-            code, out, err = _capture(capsys, argv + ["--jobs", jobs])
-            assert code == 2
-            assert out == ""
-            assert "--jobs: must be an integer N >= 1" in err
+    cases = [
+        (argv + ["--jobs", jobs], "--jobs: must be an integer N >= 1")
+        for jobs in ("0", "-1", "\u0661")
+        for argv in (["cyclo", "volume", "--n", "5", "--method", "brute"], ["verify"])
+    ]
+    cases += [
+        (["verify", "--n-max", "\u0662", "--jobs", "\u0662"], "--n-max: must be a non-negative integer"),
+        (["cyclo", "points", "--n", "\u0664"], "--n: must be a non-negative integer"),
+        (["perm", "points", "--n", "1_0"], "--n: must be a non-negative integer"),
+    ]
+    for argv, reason in cases:
+        code, out, err = _capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert reason in err
+
+
+def test_closed_routes_capped(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite n above the cap")
+
+    monkeypatch.setattr(forests, "forest_count", no_work)
+    monkeypatch.setattr(forests, "forest_gcd_sum", no_work)
+    monkeypatch.setattr(zonotope, "lattice_count_closed_form", no_work)
+    monkeypatch.setattr(zonotope, "permutohedron_lattice_count", no_work)
+    for argv in (["forests", "phi"], ["forests", "Phi"], ["perm", "points"], ["cyclo", "points"]):
+        code, out, err = _capture(capsys, argv + ["--n", "301"])
+        assert code == 2
+        assert out == ""
+        assert "exceeds the cap n <= 300" in err
+    monkeypatch.undo()
+    code, out, _ = _capture(capsys, ["forests", "phi", "--n", "300"])
+    assert code == 0
+    assert out.startswith("forests.phi n=300 method=partition-sum coeff=2528667035989008")
 
 
 def test_perm_commands(capsys):

@@ -3,9 +3,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cycloperm import forests
 from cycloperm.forests import (
     DecoratedForest,
     LabeledForest,
@@ -17,7 +21,6 @@ from cycloperm.forests import (
     enumerate_trees,
     forest_count,
     forest_gcd_sum,
-    integer_partitions,
     prufer_decode,
     prufer_encode,
     reduce_decorated_forest,
@@ -25,6 +28,7 @@ from cycloperm.forests import (
     set_partitions,
     trees_on,
 )
+from cycloperm.verification import _forest_sums_by_partitions
 
 # --- independent brute-force oracle (DFS cycle check, no shared code) ---
 
@@ -137,13 +141,6 @@ def test_set_partitions_order_and_counts():
             assert sorted(x for b_ in blocks for x in b_) == list(range(1, n + 1))
 
 
-def test_integer_partitions():
-    assert list(integer_partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert list(integer_partitions(0)) == [()]
-    # partition numbers p(1..8)
-    assert [len(list(integer_partitions(v))) for v in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
-
-
 # --- trees and Pruefer codes ---
 
 
@@ -230,6 +227,14 @@ def test_forest_gcd_sum_matches_bruteforce():
             sizes = [len(c) for c in _brute_components(v, edges)]
             brute += math.gcd(*sizes)
         assert forest_gcd_sum(v) == brute
+
+
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+def test_forest_table_state_cannot_change_an_answer(order):
+    # each example builds the shared tables from empty in its own order
+    with mock.patch.dict(forests._DIVISIBLE_TABLES, clear=True):
+        for n in order:
+            assert (forest_count(n), forest_gcd_sum(n)) == _forest_sums_by_partitions(n)
 
 
 # --- rooted forest counts and Abel polynomials ---
