@@ -169,13 +169,11 @@ def _run_forests(args) -> list[ResultRecord]:
     return [_int_record("forests.abel", value, "closed", n)]
 
 
-def _emit(records: list[ResultRecord], fmt: str) -> None:
+def _render(records: list[ResultRecord], fmt: str) -> str:
     if fmt == "json":
         payload = [r.to_dict() for r in records]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload))
-    else:
-        for r in records:
-            print(r.to_text())
+        return json.dumps(payload[0] if len(payload) == 1 else payload)
+    return "\n".join(r.to_text() for r in records)
 
 
 def _run_verify(args) -> int:
@@ -284,11 +282,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.group == "verify":
             return _run_verify(args)
-        records = _RUNNERS[args.group](args)
+        # rendering can fail too: str() refuses integers too long to print
+        text = _render(_RUNNERS[args.group](args), args.format)
     except ValueError as exc:  # includes LinkageError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(records, args.format)
+    print(text)
     return 0
 
 

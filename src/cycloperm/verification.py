@@ -11,10 +11,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterator
 
 from . import forests, intlin, linkage, oracle, zonotope
+
+
+def _require(cond: bool, msg: str = "") -> None:
+    """assert that still checks under python -O."""
+    if not cond:
+        raise AssertionError(msg)
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,8 @@ def _check_prufer_roundtrip(n_max: int, jobs: int) -> str:
             count += 1
             if n >= 2:
                 seq = forests.prufer_encode(labels, tree.edges)
-                assert forests.prufer_decode(labels, seq) == tree.edges
-        assert count == (n ** (n - 2) if n >= 2 else 1), f"Cayley count failed at n={n}"
+                _require(forests.prufer_decode(labels, seq) == tree.edges)
+        _require(count == (n ** (n - 2) if n >= 2 else 1), f"Cayley count failed at n={n}")
     return f"trees enumerated and round-tripped for n <= {top}"
 
 
@@ -85,15 +90,15 @@ def _forest_sums_by_partitions(n: int) -> tuple[int, int]:
 def _check_forest_counts(n_max: int, jobs: int) -> str:
     known = {1: 1, 2: 2, 3: 7, 4: 38, 5: 291}
     for n, value in known.items():
-        assert forests.forest_count(n) == value, f"phi({n}) != {value}"
+        _require(forests.forest_count(n) == value, f"phi({n}) != {value}")
     known_gcd = {1: 1, 2: 3, 3: 13, 4: 89}
     for v, value in known_gcd.items():
-        assert forests.forest_gcd_sum(v) == value, f"Phi({v}) != {value}"
+        _require(forests.forest_gcd_sum(v) == value, f"Phi({v}) != {value}")
     sums_top = 20  # the partition sums take tens of ms up to here
     for n in range(1, sums_top + 1):
         phi, gcd_sum = _forest_sums_by_partitions(n)
-        assert forests.forest_count(n) == phi, f"phi({n}) mismatch vs partition sum"
-        assert forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs partition sum"
+        _require(forests.forest_count(n) == phi, f"phi({n}) mismatch vs partition sum")
+        _require(forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs partition sum")
     top = min(n_max, 5)
     for n in range(1, top + 1):
         phi = gcd_sum = 0
@@ -101,8 +106,8 @@ def _check_forest_counts(n_max: int, jobs: int) -> str:
             if not p.marked:
                 phi += 1
                 gcd_sum += math.gcd(*(len(c) for c in p.forest.components()))
-        assert forests.forest_count(n) == phi, f"phi({n}) mismatch vs enumeration"
-        assert forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs enumeration"
+        _require(forests.forest_count(n) == phi, f"phi({n}) mismatch vs enumeration")
+        _require(forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs enumeration")
     return f"phi and Phi match the partition sums for n <= {sums_top} and enumeration for n <= {top}"
 
 
@@ -110,9 +115,8 @@ def _check_rooted_forest_tables(n_max: int, jobs: int) -> str:
     for n in range(0, max(n_max, 8) + 1):
         table = forests.rooted_forest_counts(n)
         for x in (-n, -2, -1, 0, 1, 2, 3, Fraction(1, 2)):
-            assert sum(t * x ** k for k, t in table.items()) == forests.abel_eval(n, -1, x), (
-                f"table identity failed at n={n}, x={x}"
-            )
+            value = sum(t * x ** k for k, t in table.items())
+            _require(value == forests.abel_eval(n, -1, x), f"table identity failed at n={n}, x={x}")
     return f"sum_k t(n,k) x^k = x(x+n)^(n-1) for n <= {max(n_max, 8)}"
 
 
@@ -126,9 +130,9 @@ def _check_grouped_abel_identity(n_max: int, jobs: int) -> str:
         rhs = (-1) ** n * n * sum(
             (-1) ** N * math.comb(n, N) * N ** (n - 2) for N in range(1, n + 1)
         )
-        assert lhs == rhs, f"grouped identity failed at n={n}"
+        _require(lhs == rhs, f"grouped identity failed at n={n}")
         if n >= 3:
-            assert rhs == 0, f"alternating sum not zero at n={n}"
+            _require(rhs == 0, f"alternating sum not zero at n={n}")
     return f"grouped Abel identity holds for 2 <= n <= {top}"
 
 
@@ -140,22 +144,18 @@ def _check_determinant_lemma(n_max: int, jobs: int) -> str:
             unit = abs(intlin.determinant(zonotope.forest_det_matrix(d, marks_as="unit")))
             radial = abs(intlin.determinant(zonotope.forest_det_matrix(d, marks_as="radial")))
             N = d.free_tree_size
-            assert unit == N, f"unit det != N(F) at n={n}"
-            assert radial == n ** d.mark_count * N, f"radial det != n^m N(F) at n={n}"
+            _require(unit == N, f"unit det != N(F) at n={n}")
+            _require(radial == n ** d.mark_count * N, f"radial det != n^m N(F) at n={n}")
             decorated.add((d.forest.edges, tuple(sorted(d.marked))))
         # every other selection of n - 1 edge and radial columns is singular
-        ones = list(zonotope.ones_vector(n))
-        all_edges = list(combinations(range(1, n + 1), 2))
-        for icount in range(n):
-            for edges in combinations(all_edges, icount):
-                for marks in combinations(range(1, n + 1), n - 1 - icount):
-                    cols = [list(zonotope.edge_vector(n, i, j)) for i, j in edges]
-                    cols += [list(zonotope.radial_vector(n, k)) for k in marks]
-                    cols.append(ones)
-                    det = intlin.determinant(intlin.IntMatrix.from_columns(cols, dim=n))
-                    assert (det != 0) == ((edges, marks) in decorated), (
-                        f"det {det} for edges {edges}, marks {marks} at n={n}"
-                    )
+        ones = zonotope.ones_vector(n)
+        for edges, marks in zonotope._selections(n, (n - 1,)):
+            cols = zonotope._columns(n, edges, marks) + [ones]
+            det = intlin.determinant(intlin.IntMatrix.from_columns(cols, dim=n))
+            _require(
+                (det != 0) == ((edges, marks) in decorated),
+                f"det {det} for edges {edges}, marks {marks} at n={n}",
+            )
     return f"det lemma exhaustive for n <= {top}; non-forest selections have det 0"
 
 
@@ -163,11 +163,11 @@ def _check_cyclo_volume(n_max: int, jobs: int) -> str:
     top = min(n_max, 7)
     for n in range(2, top + 1):
         brute = zonotope.volume_bruteforce(n, jobs=jobs)
-        assert brute == zonotope.volume_by_forests(n), f"volume routes differ at n={n}"
-        assert brute == zonotope.volume_closed_form(n), f"closed volume differs at n={n}"
+        _require(brute == zonotope.volume_by_forests(n), f"volume routes differ at n={n}")
+        _require(brute == zonotope.volume_closed_form(n), f"closed volume differs at n={n}")
     for n in range(2, 9):
-        assert zonotope.volume_by_forests(n) == zonotope.volume_closed_form(n)
-    assert zonotope.volume_by_forests(2).coeff == -2
+        _require(zonotope.volume_by_forests(n) == zonotope.volume_closed_form(n))
+    _require(zonotope.volume_by_forests(2).coeff == -2)
     return f"brute/forest/closed volumes agree for n <= {top}; zero for 3 <= n <= 8"
 
 
@@ -176,11 +176,10 @@ def _check_cyclo_lattice(n_max: int, jobs: int) -> str:
     top = min(n_max, 6)
     for n in range(2, top + 1):
         closed = zonotope.lattice_count_closed_form(n)
-        assert closed == zonotope.lattice_count_bruteforce(n, jobs=jobs), (
-            f"lattice routes differ at n={n}"
-        )
+        brute = zonotope.lattice_count_bruteforce(n, jobs=jobs)
+        _require(closed == brute, f"lattice routes differ at n={n}")
         if n in known:
-            assert closed == known[n], f"Lambda({n}) != {known[n]}"
+            _require(closed == known[n], f"Lambda({n}) != {known[n]}")
     return f"lattice count routes agree for n <= {top}; values 0, 1, 18 at n = 2, 3, 4"
 
 
@@ -194,40 +193,38 @@ def _check_sharp_routes(n_max: int, jobs: int) -> str:
     ):
         p = forests.PartialDecoratedForest(forests.LabeledForest(6, edges), [mark])
         cols = zonotope.forest_columns(p)
-        assert zonotope.sharp_of_partial_forest(p) == expected, f"sharp of worked forest {edges}"
-        assert intlin.semiopen_lattice_count(cols) == expected, f"minors of worked forest {edges}"
-        assert oracle.semiopen_count_direct(cols) == expected, f"scan of worked forest {edges}"
+        _require(zonotope.sharp_of_partial_forest(p) == expected, f"sharp of worked forest {edges}")
+        minors = intlin.semiopen_lattice_count(cols)
+        _require(minors == expected, f"minors of worked forest {edges}")
+        _require(oracle.semiopen_count_direct(cols) == expected, f"scan of worked forest {edges}")
     top = min(n_max, 4)
     for n in range(2, top + 1):
         for p in forests.enumerate_partial_decorated_forests(n):
             cols = zonotope.forest_columns(p)
             s = zonotope.sharp_of_partial_forest(p)
-            assert s == intlin.semiopen_lattice_count(cols), f"sharp vs minors at n={n}"
-            assert s == oracle.semiopen_count_direct(cols), f"sharp vs scan at n={n}"
+            _require(s == intlin.semiopen_lattice_count(cols), f"sharp vs minors at n={n}")
+            _require(s == oracle.semiopen_count_direct(cols), f"sharp vs scan at n={n}")
     return f"sharp formula == minor gcd == point scan for n <= {top} and worked matrices"
 
 
 def _check_permutohedron(n_max: int, jobs: int) -> str:
     top = min(n_max, 5)
     for n in range(1, top + 1):
-        assert zonotope.permutohedron_lattice_count(n) == oracle.permutohedron_lattice_points_direct(n), (
-            f"permutohedron point count differs at n={n}"
-        )
+        direct = oracle.permutohedron_lattice_points_direct(n)
+        count = zonotope.permutohedron_lattice_count(n)
+        _require(count == direct, f"permutohedron point count differs at n={n}")
     for n in range(2, 9):
-        assert zonotope.permutohedron_volume(n).coeff == n ** (n - 1), (
-            f"volume coefficient must be n^(n-1), not n^(n-2), at n={n}"
-        )
+        coeff = zonotope.permutohedron_volume(n).coeff
+        _require(coeff == n ** (n - 1), f"volume coefficient must be n^(n-1), not n^(n-2), at n={n}")
     for n in range(2, min(n_max, 6) + 1):
         total = 0
-        ones = list(zonotope.ones_vector(n))
+        ones = zonotope.ones_vector(n)
         for tree in forests.enumerate_trees(n):
-            cols = [list(zonotope.edge_vector(n, i, j)) for i, j in tree.edges]
-            cols.append(ones)
+            cols = zonotope._columns(n, tree.edges, ()) + [ones]
             total += abs(intlin.determinant(intlin.IntMatrix.from_columns(cols, dim=n)))
-        assert zonotope.permutohedron_volume(n).coeff == total, (
-            f"tree determinant sum differs at n={n}"
-        )
-    assert oracle.hexagon_area_direct() == zonotope.permutohedron_volume(3)
+        coeff = zonotope.permutohedron_volume(n).coeff
+        _require(coeff == total, f"tree determinant sum differs at n={n}")
+    _require(oracle.hexagon_area_direct() == zonotope.permutohedron_volume(3))
     return f"point counts (n <= {top}) and tree-determinant volumes verified; hexagon = 9/sqrt(3)"
 
 
@@ -240,24 +237,23 @@ def _check_linkage_volumes(n_max: int, jobs: int) -> str:
     for lengths, coeff, radicand in named:
         spec = linkage.validate(lengths)
         vol = linkage.moduli_volume_theorem(spec)
-        assert vol == zonotope.NormalizedVolume(coeff, radicand), f"volume of {lengths}"
-        assert vol == linkage.moduli_volume_forests(spec), f"forest route for {lengths}"
+        _require(vol == zonotope.NormalizedVolume(coeff, radicand), f"volume of {lengths}")
+        _require(vol == linkage.moduli_volume_forests(spec), f"forest route for {lengths}")
     rng = random.Random(90210)
     checked = 0
     for bars in (4, 5, 6):
         for _ in range(3):
             spec = _random_linkage(rng, bars)
-            assert linkage.moduli_volume_theorem(spec) == linkage.moduli_volume_forests(spec), (
-                f"routes differ for {spec.lengths}"
-            )
+            vol = linkage.moduli_volume_theorem(spec)
+            _require(vol == linkage.moduli_volume_forests(spec), f"routes differ for {spec.lengths}")
             checked += 1
     for m in (2, 3):
         cmp = linkage.equilateral_volume(m)
-        assert cmp.forest == cmp.theorem, f"equilateral routes differ at m={m}"
-        assert not cmp.agree, f"binomial display unexpectedly agrees at m={m}"
+        _require(cmp.forest == cmp.theorem, f"equilateral routes differ at m={m}")
+        _require(not cmp.agree, f"binomial display unexpectedly agrees at m={m}")
     cmp = linkage.equilateral_volume(2)
-    assert cmp.binomial_display == zonotope.NormalizedVolume(16, 4), "equilateral display"
-    assert cmp.theorem == zonotope.NormalizedVolume(-80, 4), "equilateral theorem value"
+    _require(cmp.binomial_display == zonotope.NormalizedVolume(16, 4), "equilateral display")
+    _require(cmp.theorem == zonotope.NormalizedVolume(-80, 4), "equilateral theorem value")
     return f"three named + {checked} random linkages agree across routes; equilateral display flagged"
 
 
@@ -269,22 +265,21 @@ def _check_linkage_topology(n_max: int, jobs: int) -> str:
     ]
     for lengths, b, f, chi in named:
         spec = linkage.validate(lengths)
-        assert linkage.betti_vector(spec) == b, f"betti of {lengths}"
-        assert linkage.f_vector(spec) == f, f"f-vector of {lengths}"
-        assert linkage.euler_characteristic(spec) == chi, f"chi of {lengths}"
+        _require(linkage.betti_vector(spec) == b, f"betti of {lengths}")
+        _require(linkage.f_vector(spec) == f, f"f-vector of {lengths}")
+        _require(linkage.euler_characteristic(spec) == chi, f"chi of {lengths}")
         counts = [0] * (spec.n - 1)
         for cell in linkage.enumerate_cells(spec):
             counts[spec.bar_count - cell.block_count] += 1
-        assert tuple(counts) == f, f"cell enumeration vs f-vector for {lengths}"
+        _require(tuple(counts) == f, f"cell enumeration vs f-vector for {lengths}")
     rng = random.Random(31337)
     for bars in (4, 5, 6):
         for _ in range(2):
             spec = _random_linkage(rng, bars)
             b = linkage.betti_vector(spec)
-            assert b == b[::-1], f"betti not symmetric for {spec.lengths}"
-            assert linkage.euler_characteristic(spec) == sum(
-                (-1) ** k * x for k, x in enumerate(b)
-            ), f"chi mismatch for {spec.lengths}"
+            _require(b == b[::-1], f"betti not symmetric for {spec.lengths}")
+            chi = sum((-1) ** k * x for k, x in enumerate(b))
+            _require(linkage.euler_characteristic(spec) == chi, f"chi mismatch for {spec.lengths}")
     return "betti, f-vectors, Euler characteristics consistent on named and random linkages"
 
 

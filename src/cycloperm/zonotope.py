@@ -3,7 +3,8 @@
 The cyclopermutohedron is a virtual zonotope: the formal difference of a
 Minkowski sum of edge segments q_ij = [0, e_j - e_i] and radial segments
 r_i = [0, e - n e_i], translated by e = (1,...,1).  Its volume and its
-lattice-point count are alternating sums over generator subsets; both
+lattice-point count are alternating sums over generator selections, all
+streamed by _selections and turned into columns by _columns; both sums
 collapse to closed forms through decorated forests.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
@@ -15,14 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, islice
+from typing import Iterable, Iterator
 
 from .forests import (
     DecoratedForest,
     PartialDecoratedForest,
     abel_eval,
-    enumerate_decorated_forests,
     forest_count,
     forest_gcd_sum,
 )
@@ -68,7 +68,25 @@ def ones_vector(n: int) -> tuple[int, ...]:
     return (1,) * n
 
 
-# --- matrices attached to forests ---
+# --- generator selections and their columns ---
+
+
+def _selections(n: int, sizes: Iterable[int]) -> Iterator[tuple[tuple, tuple]]:
+    """Every generator selection (edges, marks) with |edges| + |marks| in
+    `sizes`: edges in lexicographic order, marks ascending.  Singular
+    selections are yielded too; nothing is pruned."""
+    all_edges = list(combinations(range(1, n + 1), 2))
+    for size in sizes:
+        for icount in range(size + 1):
+            for edges in combinations(all_edges, icount):
+                for marks in combinations(range(1, n + 1), size - icount):
+                    yield edges, marks
+
+
+def _columns(n: int, edges, marks) -> list[tuple[int, ...]]:
+    """Generator columns of a selection: one edge vector per edge, then one
+    radial vector per mark, in the given orders."""
+    return [edge_vector(n, i, j) for i, j in edges] + [radial_vector(n, k) for k in marks]
 
 
 def forest_columns(forest: PartialDecoratedForest | DecoratedForest) -> IntMatrix:
@@ -76,9 +94,7 @@ def forest_columns(forest: PartialDecoratedForest | DecoratedForest) -> IntMatri
     vector per edge (lexicographic) and one radial vector per mark
     (ascending)."""
     n = forest.forest.vertex_count
-    cols = [edge_vector(n, i, j) for i, j in forest.forest.edges]
-    cols += [radial_vector(n, k) for k in sorted(forest.marked)]
-    return IntMatrix.from_columns(cols, dim=n)
+    return IntMatrix.from_columns(_columns(n, forest.forest.edges, sorted(forest.marked)), dim=n)
 
 
 def forest_det_matrix(forest: DecoratedForest, marks_as: str = "radial") -> IntMatrix:
@@ -86,18 +102,15 @@ def forest_det_matrix(forest: DecoratedForest, marks_as: str = "radial") -> IntM
     column per mark (the radial vector, or the standard unit vector when
     marks_as="unit"), then the all-ones column."""
     n = forest.forest.vertex_count
-    cols = [list(edge_vector(n, i, j)) for i, j in forest.forest.edges]
-    for k in sorted(forest.marked):
-        if marks_as == "radial":
-            cols.append(list(radial_vector(n, k)))
-        elif marks_as == "unit":
-            unit = [0] * n
-            unit[k - 1] = 1
-            cols.append(unit)
-        else:
-            raise ValueError("marks_as must be 'radial' or 'unit'")
-    cols.append(list(ones_vector(n)))
-    return IntMatrix.from_columns(cols, dim=n)
+    marks = sorted(forest.marked)
+    if marks_as == "radial":
+        cols = _columns(n, forest.forest.edges, marks)
+    elif marks_as == "unit":
+        cols = _columns(n, forest.forest.edges, ())
+        cols += [tuple(int(i == k) for i in range(1, n + 1)) for k in marks]
+    else:
+        raise ValueError("marks_as must be 'radial' or 'unit'")
+    return IntMatrix.from_columns(cols + [ones_vector(n)], dim=n)
 
 
 def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
@@ -117,50 +130,48 @@ def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
 # --- volumes ---
 
 
-def _parallel_sum(chunk, n: int, items: list, jobs: int) -> int:
-    """Sum of chunk((n, part)) over contiguous parts of `items`: one part per
-    fork-pool worker when jobs > 1 and there are more than 1000 items, else
-    a single part in this process."""
+# Largest n that the two brute routes accept.
+VOLUME_BRUTE_MAX = 7
+LATTICE_BRUTE_MAX = 6
+
+
+def _strided_sum(args) -> int:
+    term, n, sizes, w, workers = args
+    return sum(term(n, edges, marks) for edges, marks in islice(_selections(n, sizes), w, None, workers))
+
+
+def _parallel_sum(term, n: int, sizes: Iterable[int], jobs: int) -> int:
+    """Sum of term(n, edges, marks) over _selections(n, sizes).  With
+    jobs > 1 and n >= 5, each of min(jobs, cpu_count()) fork-pool workers
+    takes every workers-th selection of the stream, starting at its index."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(items) > 1000:
+    if jobs > 1 and n >= 5:
         import multiprocessing as mp
 
         workers = min(jobs, mp.cpu_count())
-        step = (len(items) + workers - 1) // workers
-        chunks = [(n, items[i:i + step]) for i in range(0, len(items), step)]
         with mp.get_context("fork").Pool(workers) as pool:
-            return sum(pool.map(chunk, chunks))
-    return chunk((n, items))
+            return sum(pool.map(_strided_sum, [(term, n, sizes, w, workers) for w in range(workers)]))
+    return _strided_sum((term, n, sizes, 0, 1))
 
 
-def _volume_chunk(args) -> int:
-    n, combos = args
-    total = 0
-    ones = list(ones_vector(n))
-    for combo in combos:
-        cols = [list(vec) for vec, _ in combo]
-        cols.append(ones)
-        rows = [[col[i] for col in cols] for i in range(n)]
-        d = det_rows(rows)
-        if d:
-            radials = sum(1 for _, is_radial in combo if is_radial)
-            total += (-1) ** radials * abs(d)
-    return total
+def _volume_term(n: int, edges, marks) -> int:
+    d = det_rows(list(zip(*_columns(n, edges, marks), ones_vector(n))))
+    return (-1) ** len(marks) * abs(d)
 
 
-def volume_bruteforce(n: int, *, bound: int = 7, jobs: int = 1) -> NormalizedVolume:
+def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     """Volume of the cyclopermutohedron by the defining alternating sum over
     all (n-1)-subsets of generators, each contributing |det| with sign
-    (-1)^(#radials).  Cost grows as C(n(n+1)/2, n-1); refuse past `bound`."""
+    (-1)^(#radials).  Cost grows as C(n(n+1)/2, n-1); refuse past
+    VOLUME_BRUTE_MAX."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds bound={bound}; use volume_by_forests or volume_closed_form")
-    items = [(edge_vector(n, i, j), False) for i, j in combinations(range(1, n + 1), 2)]
-    items += [(radial_vector(n, i), True) for i in range(1, n + 1)]
-    total = _parallel_sum(_volume_chunk, n, list(combinations(items, n - 1)), jobs)
-    return NormalizedVolume(Fraction(total), n)
+    if n > VOLUME_BRUTE_MAX:
+        raise ValueError(
+            f"n={n} exceeds bound={VOLUME_BRUTE_MAX}; use volume_by_forests or volume_closed_form"
+        )
+    return NormalizedVolume(Fraction(_parallel_sum(_volume_term, n, (n - 1,), jobs)), n)
 
 
 def volume_by_forests(n: int) -> NormalizedVolume:
@@ -185,13 +196,6 @@ def volume_closed_form(n: int) -> NormalizedVolume:
     return NormalizedVolume(Fraction(-2 if n == 2 else 0), n)
 
 
-def volume_terms_by_forest(n: int) -> Iterator[tuple[DecoratedForest, int]]:
-    """Each decorated forest with its signed volume contribution
-    (-n)^(#marks) * N(F); the terms sum to the volume coefficient."""
-    for f in enumerate_decorated_forests(n):
-        yield f, (-n) ** f.mark_count * f.free_tree_size
-
-
 def permutohedron_volume(n: int) -> NormalizedVolume:
     """Volume of the permutohedron Pi_n (convex hull of all permutations of
     (1,...,n)): n^(n-1) / sqrt(n), one factor n per spanning tree of K_n."""
@@ -203,34 +207,21 @@ def permutohedron_volume(n: int) -> NormalizedVolume:
 # --- lattice point counts ---
 
 
-def _lattice_chunk(args) -> int:
-    n, pairs = args
-    total = 0
-    for edges, marks in pairs:
-        cols = [edge_vector(n, i, j) for i, j in edges]
-        cols += [radial_vector(n, k) for k in marks]
-        count = semiopen_lattice_count(IntMatrix.from_columns(cols, dim=n))
-        total += (-1) ** len(marks) * count
-    return total
+def _lattice_term(n: int, edges, marks) -> int:
+    count = semiopen_lattice_count(IntMatrix.from_columns(_columns(n, edges, marks), dim=n))
+    return (-1) ** len(marks) * count
 
 
-def lattice_count_bruteforce(n: int, *, bound: int = 6, jobs: int = 1) -> int:
+def lattice_count_bruteforce(n: int, *, jobs: int = 1) -> int:
     """Lattice points of the cyclopermutohedron by the defining alternating
     sum over all generator subsets with |edges| + |marks| <= n - 1, counting
-    each semiopen brick via minor gcds.  Refuse past `bound`; use
+    each semiopen brick via minor gcds.  Refuse past LATTICE_BRUTE_MAX; use
     lattice_count_closed_form for larger n."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds bound={bound}; use lattice_count_closed_form")
-    all_edges = list(combinations(range(1, n + 1), 2))
-    pairs = []
-    for icount in range(n):
-        for edges in combinations(all_edges, icount):
-            for mcount in range(n - icount):
-                for marks in combinations(range(1, n + 1), mcount):
-                    pairs.append((edges, marks))
-    return _parallel_sum(_lattice_chunk, n, pairs, jobs)
+    if n > LATTICE_BRUTE_MAX:
+        raise ValueError(f"n={n} exceeds bound={LATTICE_BRUTE_MAX}; use lattice_count_closed_form")
+    return _parallel_sum(_lattice_term, n, range(n), jobs)
 
 
 def lattice_count_closed_form(n: int) -> int:

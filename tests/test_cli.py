@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,22 @@ def test_validation_error_messages(capsys):
     assert code == 2
     assert out == ""
     assert "half the perimeter" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_unprintable_result_exits_2(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default limit
+    try:
+        for argv in (
+            ["perm", "volume", "--n", "2000"],
+            ["forests", "abel", "--n", "3000", "--a", "1", "--x", "1"],
+        ):
+            code, out, err = _capture(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verify_ok(capsys):

@@ -1,20 +1,23 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cycloperm.forests import (
     DecoratedForest,
     LabeledForest,
     PartialDecoratedForest,
-    enumerate_decorated_forests,
     enumerate_partial_decorated_forests,
 )
-from cycloperm.intlin import IntMatrix, determinant, semiopen_lattice_count
+from cycloperm.intlin import determinant, semiopen_lattice_count
 from cycloperm.zonotope import (
     NormalizedVolume,
+    _selections,
+    _strided_sum,
     edge_vector,
     forest_columns,
     forest_det_matrix,
@@ -28,7 +31,6 @@ from cycloperm.zonotope import (
     volume_bruteforce,
     volume_by_forests,
     volume_closed_form,
-    volume_terms_by_forest,
 )
 
 
@@ -71,12 +73,6 @@ def test_volume_vanishes():
         assert volume_closed_form(n).coeff == 0
 
 
-def test_volume_terms_match_grouped_sum():
-    for n in range(2, 6):
-        total = sum(term for _, term in volume_terms_by_forest(n))
-        assert Fraction(total) == volume_by_forests(n).coeff
-
-
 def test_volume_bruteforce_jobs():
     assert volume_bruteforce(5, jobs=2) == volume_bruteforce(5)
     for jobs in (0, -1):
@@ -109,40 +105,32 @@ def test_det_of_decorated_forest_examples():
     assert abs(determinant(unit)) == 2
     radial = forest_det_matrix(d, marks_as="radial")
     assert abs(determinant(radial)) == 3 * 2  # factor n per mark
+    with pytest.raises(ValueError, match="marks_as"):
+        forest_det_matrix(d, marks_as="edge")
 
 
-def test_det_lemma_exhaustive_small():
-    for n in range(2, 5):
-        for d in enumerate_decorated_forests(n):
-            N = d.free_tree_size
-            assert abs(determinant(forest_det_matrix(d, marks_as="unit"))) == N
-            assert abs(determinant(forest_det_matrix(d, marks_as="radial"))) == n ** d.mark_count * N
+# --- the stream of generator selections ---
 
 
-def _all_generator_selections(n: int):
-    """All (edges, marks) with |edges| + |marks| = n - 1."""
-    all_edges = list(combinations(range(1, n + 1), 2))
-    for icount in range(n):
-        mcount = n - 1 - icount
-        if mcount < 0 or mcount > n:
-            continue
-        for edges in combinations(all_edges, icount):
-            for marks in combinations(range(1, n + 1), mcount):
-                yield edges, marks
+@given(st.integers(2, 5), st.booleans(), st.integers(1, 4))
+def test_strided_passes_cover_every_selection_once(n, volume_sizes, workers):
+    sizes = (n - 1,) if volume_sizes else range(n)
+    seen = []
 
+    def record(n, edges, marks):
+        seen.append((edges, marks))
+        return 0
 
-def test_invalid_selections_have_zero_det():
-    for n in (3, 4):
-        valid = {(d.forest.edges, tuple(sorted(d.marked))) for d in enumerate_decorated_forests(n)}
-        for edges, marks in _all_generator_selections(n):
-            cols = [list(edge_vector(n, i, j)) for i, j in edges]
-            cols += [list(radial_vector(n, k)) for k in marks]
-            cols.append(list(ones_vector(n)))
-            d = determinant(IntMatrix.from_columns(cols, dim=n))
-            if (edges, marks) in valid:
-                assert d != 0
-            else:
-                assert d == 0
+    for w in range(workers):
+        _strided_sum((record, n, sizes, w, workers))
+    serial = list(_selections(n, sizes))
+    assert len(set(seen)) == len(seen)
+    assert sorted(seen) == sorted(serial)
+    generators = n * (n + 1) // 2
+    if volume_sizes:
+        assert len(serial) == math.comb(generators, n - 1)
+    else:
+        assert len(serial) == sum(math.comb(generators, k) for k in range(n))
 
 
 # --- sharp and lattice counts ---
