@@ -65,9 +65,13 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
     return format(val, "e")
 
 
-# Largest n that forests phi/Phi, perm points and cyclo points --method
-# closed accept; n = 300 takes under a second cold.
+# Largest n that forests phi/Phi/abel, perm volume/points, cyclo volume
+# --method forests and cyclo points --method closed accept; n = 300 takes
+# under a second cold.
 CLOSED_N_MAX = 300
+
+# Most bars that linkage cells accepts: f_vector is O(3^bars), 0.1 s at 13.
+LINKAGE_CELLS_MAX_BARS = 13
 
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?\s*", re.ASCII)
 
@@ -97,9 +101,9 @@ def _int_record(quantity: str, value: int | Fraction, method: str, n: int) -> Re
 
 
 def _closed_n(n: int) -> int:
-    """n, once it is within the cap of the closed forest-count routes."""
+    """n, once it is within the cap of the closed and forest-sum routes."""
     if n > CLOSED_N_MAX:
-        raise ValueError(f"n={n} exceeds the cap n <= {CLOSED_N_MAX} of the closed forest-count routes")
+        raise ValueError(f"n={n} exceeds the cap n <= {CLOSED_N_MAX} of the closed and forest-sum routes")
     return n
 
 
@@ -110,7 +114,7 @@ def _run_cyclo(args) -> list[ResultRecord]:
         if method == "brute":
             vol = zonotope.volume_bruteforce(n, jobs=args.jobs)
         elif method == "forests":
-            vol = zonotope.volume_by_forests(n)
+            vol = zonotope.volume_by_forests(_closed_n(n))
         else:
             vol = zonotope.volume_closed_form(n)
         return [_volume_record("cyclo.volume", vol, method, n)]
@@ -125,12 +129,15 @@ def _run_cyclo(args) -> list[ResultRecord]:
 def _run_perm(args) -> list[ResultRecord]:
     n = args.n
     if args.sub == "volume":
-        return [_volume_record("perm.volume", zonotope.permutohedron_volume(n), "closed", n)]
+        return [_volume_record("perm.volume", zonotope.permutohedron_volume(_closed_n(n)), "closed", n)]
     return [_int_record("perm.points", zonotope.permutohedron_lattice_count(_closed_n(n)), "closed", n)]
 
 
 def _run_linkage(args) -> list[ResultRecord]:
-    spec = linkage_mod.validate(parse_lengths(args.lengths))
+    lengths = parse_lengths(args.lengths)
+    if args.sub == "cells" and len(lengths) > LINKAGE_CELLS_MAX_BARS:
+        raise ValueError(f"{len(lengths)} bars exceed the cap of {LINKAGE_CELLS_MAX_BARS} bars of linkage cells")
+    spec = linkage_mod.validate(lengths)
     n = spec.n
     if args.sub == "volume":
         method = args.method or "theorem"
@@ -165,15 +172,19 @@ def _run_forests(args) -> list[ResultRecord]:
         return [_int_record("forests.phi", forests_mod.forest_count(_closed_n(n)), "partition-sum", n)]
     if args.sub == "Phi":
         return [_int_record("forests.Phi", forests_mod.forest_gcd_sum(_closed_n(n)), "partition-sum", n)]
-    value = forests_mod.abel_eval(n, parse_rational(args.a), parse_rational(args.x))
+    value = forests_mod.abel_eval(_closed_n(n), parse_rational(args.a), parse_rational(args.x))
     return [_int_record("forests.abel", value, "closed", n)]
 
 
 def _render(records: list[ResultRecord], fmt: str) -> str:
-    if fmt == "json":
-        payload = [r.to_dict() for r in records]
-        return json.dumps(payload[0] if len(payload) == 1 else payload)
-    return "\n".join(r.to_text() for r in records)
+    try:
+        if fmt == "json":
+            payload = [r.to_dict() for r in records]
+            return json.dumps(payload[0] if len(payload) == 1 else payload)
+        return "\n".join(r.to_text() for r in records)
+    except ValueError:  # str() refuses integers longer than the limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"result has more than {limit} digits; too large to print") from None
 
 
 def _run_verify(args) -> int:
@@ -282,7 +293,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.group == "verify":
             return _run_verify(args)
-        # rendering can fail too: str() refuses integers too long to print
         text = _render(_RUNNERS[args.group](args), args.format)
     except ValueError as exc:  # includes LinkageError
         print(f"error: {exc}", file=sys.stderr)

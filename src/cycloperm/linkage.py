@@ -5,14 +5,19 @@ Its configuration space M(L) (closed polygons up to isometry) is modeled by
 the complex of cyclically ordered partitions of the bars into short blocks;
 volumes, Betti numbers, and face counts all reduce to the short-set profile
 a_k = #{k-subsets S of [n] with S + {n+1} short}.
+
+The wall check, the profile and the f-vector are dynamic programs over
+subset sums of the lengths scaled to integers over their common
+denominator; the set-partition enumeration stays as the cell enumerator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .forests import enumerate_decorated_forests, set_partitions
@@ -45,6 +50,21 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _integer_lengths(lengths: Sequence[Fraction]) -> list[int]:
+    """The lengths times their common denominator."""
+    scale = math.lcm(*(x.denominator for x in lengths))
+    return [x.numerator * (scale // x.denominator) for x in lengths]
+
+
+def _reaches(ints: Sequence[int], target: int) -> bool:
+    """Whether some subset of `ints` (all positive) sums to `target`; only
+    sums up to the target are kept."""
+    sums = {0}
+    for x in ints:
+        sums |= {s + x for s in sums if s + x <= target}
+    return target in sums
+
+
 @dataclass(frozen=True)
 class LinkageSpec:
     """Validated bar lengths; construction raises a LinkageError subclass on
@@ -61,12 +81,11 @@ class LinkageSpec:
             raise NonPositiveLengthError("bar lengths must be positive")
         if max(lengths) != lengths[-1]:
             raise LongestNotLastError("longest bar must be listed last")
-        half = sum(lengths) / 2
-        for r in range(1, len(lengths) + 1):
-            for sub in combinations(lengths, r):
-                if sum(sub) == half:
-                    raise WallHitError("a subset of bars sums to half the perimeter")
-        if lengths[-1] >= half:
+        ints = _integer_lengths(lengths)
+        total = sum(ints)
+        if total % 2 == 0 and _reaches(ints, total // 2):
+            raise WallHitError("a subset of bars sums to half the perimeter")
+        if 2 * ints[-1] >= total:
             raise TriangleViolationError("longest bar is at least half the perimeter")
         object.__setattr__(self, "lengths", lengths)
 
@@ -126,17 +145,19 @@ class ShortSetProfile:
 
 
 def a_profile(spec: LinkageSpec) -> ShortSetProfile:
-    n = spec.n
-    counts = []
-    for k in range(n + 1):
-        counts.append(
-            sum(
-                1
-                for s in combinations(range(1, n + 1), k)
-                if is_short(spec, set(s) | {n + 1})
-            )
-        )
-    return ShortSetProfile(tuple(counts))
+    """The profile by a (size, sum) table over the first n bars: S + {last}
+    is short iff 2 sum(S) < sum(first n) - last, and only such sums are
+    kept, since adding a bar never makes a long set short."""
+    *rest, last = _integer_lengths(spec.lengths)
+    room = sum(rest) - last
+    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in rest]  # ways[k][s]: k-subsets with sum s
+    for i, x in enumerate(rest):
+        for k in range(i, -1, -1):
+            grown = ways[k + 1]
+            for s, c in ways[k].items():
+                if 2 * (s + x) < room:
+                    grown[s + x] = grown.get(s + x, 0) + c
+    return ShortSetProfile(tuple(sum(w.values()) for w in ways))
 
 
 # --- volumes ---
@@ -160,9 +181,11 @@ def moduli_volume_forests(spec: LinkageSpec, *, bound: int = 6) -> NormalizedVol
         raise LinkageError("need at least three bars")
     if n > bound:
         raise ValueError(f"n={n} exceeds bound={bound}; use moduli_volume_theorem")
+    ints = _integer_lengths(spec.lengths)
+    perimeter = sum(ints)
     total = 0
     for f in enumerate_decorated_forests(n):
-        if not is_short(spec, f.free_tree_vertices):
+        if 2 * sum(ints[i - 1] for i in f.free_tree_vertices) >= perimeter:  # long
             total += (-n) ** f.mark_count * f.free_tree_size
     return NormalizedVolume(Fraction(total), n)
 
@@ -256,15 +279,13 @@ def is_refinement(p: CyclicPartition, q: CyclicPartition) -> bool:
     return collapsed[shift:] + collapsed[:shift] == list(range(t))
 
 
-def _admissible_partitions(spec: LinkageSpec) -> dict[int, list[tuple[tuple[int, ...], ...]]]:
-    """All-short set partitions of the bars, keyed by number of blocks."""
-    bym: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+def _admissible_partitions(spec: LinkageSpec) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All-short set partitions of the bars into at least 3 blocks, in
+    enumeration order; each distinct block is tested once."""
+    short = functools.cache(lambda block: is_short(spec, block))
     for blocks in set_partitions(range(1, spec.bar_count + 1)):
-        if len(blocks) < 3:
-            continue
-        if all(is_short(spec, b) for b in blocks):
-            bym.setdefault(len(blocks), []).append(blocks)
-    return bym
+        if len(blocks) >= 3 and all(short(b) for b in blocks):
+            yield blocks
 
 
 def enumerate_cells(spec: LinkageSpec) -> Iterator[CyclicPartition]:
@@ -273,7 +294,9 @@ def enumerate_cells(spec: LinkageSpec) -> Iterator[CyclicPartition]:
     blocks has dimension n + 1 - m; cells come out by ascending dimension,
     partitions in enumeration order, arrangements in lexicographic order of
     the non-final blocks."""
-    bym = _admissible_partitions(spec)
+    bym: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+    for blocks in _admissible_partitions(spec):
+        bym.setdefault(len(blocks), []).append(blocks)
     for m in range(spec.bar_count, 2, -1):
         for blocks in bym.get(m, []):
             last = next(b for b in blocks if spec.bar_count in b)
@@ -282,14 +305,50 @@ def enumerate_cells(spec: LinkageSpec) -> Iterator[CyclicPartition]:
                 yield CyclicPartition(arrangement + (last,))
 
 
+def _short_partition_counts(spec: LinkageSpec) -> list[int]:
+    """counts[m] = number of partitions of the bars into m short blocks.
+
+    short[mask] comes from subset sums built by the lowest set bit.  A
+    partition of a mask takes its block that holds the lowest bar, a short
+    submask, and a partition of the rest, so every mask reached from the full
+    one lacks bar 1 and all their submask pairs number about 3^(B-1)/2.
+    ways[mask] packs the counts by block number into one integer, digit m at
+    bit m * width; Bell(B) <= B! bounds every digit."""
+    ints = _integer_lengths(spec.lengths)
+    total = sum(ints)
+    bars = len(ints)
+    full = (1 << bars) - 1
+    sums = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + ints[low.bit_length() - 1]
+    short = [2 * s < total for s in sums]
+    width = math.factorial(bars).bit_length()
+    ways = [0] * (full + 1)
+    ways[0] = 1
+    for mask in chain(range(2, full, 2), (full,)):
+        low = mask & -mask
+        others = mask ^ low
+        acc = 0
+        rest = others
+        while True:  # every submask `rest` of `others`; the block is mask ^ rest
+            if short[mask ^ rest]:
+                acc += ways[rest]
+            if not rest:
+                break
+            rest = (rest - 1) & others
+        ways[mask] = acc << width
+    digit = (1 << width) - 1
+    return [(ways[full] >> (m * width)) & digit for m in range(bars + 1)]
+
+
 def f_vector(spec: LinkageSpec) -> tuple[int, ...]:
-    """f[k] = number of k-dimensional cells, k = 0..n-2: each admissible
-    partition into m = n+1-k blocks contributes (m-1)! cyclic arrangements."""
+    """f[k] = number of k-dimensional cells, k = 0..n-2: each partition of
+    the bars into m = n+1-k short blocks contributes (m-1)! cyclic
+    arrangements."""
     n = spec.n
-    bym = _admissible_partitions(spec)
-    return tuple(
-        len(bym.get(n + 1 - k, [])) * math.factorial(n - k) for k in range(n - 1)
-    )
+    counts = _short_partition_counts(spec)
+    return tuple(counts[n + 1 - k] * math.factorial(n - k) for k in range(n - 1))
 
 
 def euler_characteristic(spec: LinkageSpec) -> int:

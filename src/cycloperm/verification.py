@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterator
 
 from . import forests, intlin, linkage, oracle, zonotope
@@ -257,6 +258,34 @@ def _check_linkage_volumes(n_max: int, jobs: int) -> str:
     return f"three named + {checked} random linkages agree across routes; equilateral display flagged"
 
 
+def _hits_wall_by_subsets(lengths) -> bool:
+    """Whether some subset of the lengths sums to half their total."""
+    half = sum(lengths) / 2
+    return any(
+        sum(sub) == half for r in range(1, len(lengths) + 1) for sub in combinations(lengths, r)
+    )
+
+
+def _profile_by_subsets(spec: linkage.LinkageSpec) -> tuple[int, ...]:
+    """a_k by testing every k-subset S of the first n bars for S + {last bar}
+    short.  Exponential in n."""
+    n = spec.n
+    return tuple(
+        sum(1 for s in combinations(range(1, n + 1), k) if linkage.is_short(spec, set(s) | {n + 1}))
+        for k in range(n + 1)
+    )
+
+
+def _f_vector_by_partitions(spec: linkage.LinkageSpec) -> tuple[int, ...]:
+    """f[k] from the enumerated all-short set partitions into n+1-k blocks,
+    (n-k)! cyclic arrangements each.  Bell(n+1) partitions."""
+    n = spec.n
+    counts = [0] * (n + 2)  # counts[m]: partitions into m blocks
+    for blocks in linkage._admissible_partitions(spec):
+        counts[len(blocks)] += 1
+    return tuple(counts[n + 1 - k] * math.factorial(n - k) for k in range(n - 1))
+
+
 def _check_linkage_topology(n_max: int, jobs: int) -> str:
     named = [
         (("1.2", 1, 1, "0.8", "2.2"), (1, 2, 1), (24, 42, 18), 0),
@@ -273,14 +302,30 @@ def _check_linkage_topology(n_max: int, jobs: int) -> str:
             counts[spec.bar_count - cell.block_count] += 1
         _require(tuple(counts) == f, f"cell enumeration vs f-vector for {lengths}")
     rng = random.Random(31337)
-    for bars in (4, 5, 6):
-        for _ in range(2):
-            spec = _random_linkage(rng, bars)
-            b = linkage.betti_vector(spec)
-            _require(b == b[::-1], f"betti not symmetric for {spec.lengths}")
-            chi = sum((-1) ** k * x for k, x in enumerate(b))
-            _require(linkage.euler_characteristic(spec) == chi, f"chi mismatch for {spec.lengths}")
-    return "betti, f-vectors, Euler characteristics consistent on named and random linkages"
+    for bars in range(4, 10):
+        spec = _random_linkage(rng, bars)
+        _require(linkage.a_profile(spec).a == _profile_by_subsets(spec), f"a-profile of {spec.lengths}")
+        _require(linkage.f_vector(spec) == _f_vector_by_partitions(spec), f"f-vector of {spec.lengths}")
+        b = linkage.betti_vector(spec)
+        _require(b == b[::-1], f"betti not symmetric for {spec.lengths}")
+        chi = sum((-1) ** k * x for k, x in enumerate(b))
+        _require(linkage.euler_characteristic(spec) == chi, f"chi mismatch for {spec.lengths}")
+    walls = 0
+    for _ in range(40):
+        lengths = sorted(Fraction(rng.randrange(1, 8), rng.randrange(1, 4)) for _ in range(rng.randrange(3, 9)))
+        try:
+            linkage.validate(lengths)
+            hit = False
+        except linkage.WallHitError:
+            hit = True
+        except linkage.TriangleViolationError:  # raised only past the wall check
+            hit = False
+        _require(hit == _hits_wall_by_subsets(lengths), f"wall check of {lengths}")
+        walls += hit
+    return (
+        "betti, f-vectors, Euler characteristics consistent on named and random linkages; "
+        f"profiles and f-vectors (4-9 bars) and the wall check (40 lists, {walls} walls) match enumeration"
+    )
 
 
 def _random_linkage(rng: random.Random, bars: int) -> linkage.LinkageSpec:

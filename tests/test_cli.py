@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycloperm import forests, verification, zonotope
+from cycloperm import forests, linkage, verification, zonotope
 from cycloperm.cli import approx_string, parse_lengths, parse_rational, run
 
 
@@ -195,9 +195,20 @@ def test_closed_routes_capped(capsys, monkeypatch):
 
     monkeypatch.setattr(forests, "forest_count", no_work)
     monkeypatch.setattr(forests, "forest_gcd_sum", no_work)
+    monkeypatch.setattr(forests, "abel_eval", no_work)
     monkeypatch.setattr(zonotope, "lattice_count_closed_form", no_work)
     monkeypatch.setattr(zonotope, "permutohedron_lattice_count", no_work)
-    for argv in (["forests", "phi"], ["forests", "Phi"], ["perm", "points"], ["cyclo", "points"]):
+    monkeypatch.setattr(zonotope, "permutohedron_volume", no_work)
+    monkeypatch.setattr(zonotope, "volume_by_forests", no_work)
+    for argv in (
+        ["forests", "phi"],
+        ["forests", "Phi"],
+        ["forests", "abel", "--a", "1", "--x", "1"],
+        ["perm", "points"],
+        ["perm", "volume"],
+        ["cyclo", "points"],
+        ["cyclo", "volume", "--method", "forests"],
+    ):
         code, out, err = _capture(capsys, argv + ["--n", "301"])
         assert code == 2
         assert out == ""
@@ -242,6 +253,22 @@ def test_linkage_cells(capsys):
     ]
     assert records[-1]["quantity"] == "linkage.euler"
     assert records[-1]["coeff"] == "2"
+
+
+def test_linkage_cells_capped(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite more bars than the cap")
+
+    monkeypatch.setattr(linkage, "validate", no_work)
+    monkeypatch.setattr(linkage, "f_vector", no_work)
+    monkeypatch.setattr(linkage, "euler_characteristic", no_work)
+    code, out, err = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 14)])
+    assert (code, out) == (2, "")
+    assert err == "error: 14 bars exceed the cap of 13 bars of linkage cells\n"
+    monkeypatch.undo()
+    code, out, _ = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 13)])
+    assert code == 0
+    assert out.splitlines()[-1] == "linkage.euler n=12 method=cell-complex coeff=-924 radicand=1 approx=-924"
 
 
 def test_forests_commands(capsys):
@@ -291,13 +318,10 @@ def test_unprintable_result_exits_2(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # the default limit
     try:
-        for argv in (
-            ["perm", "volume", "--n", "2000"],
-            ["forests", "abel", "--n", "3000", "--a", "1", "--x", "1"],
-        ):
-            code, out, err = _capture(capsys, argv)
-            assert (code, out) == (2, "")
-            assert err.startswith("error: ")
+        argv = ["forests", "abel", "--n", "300", "--a", "1/123456789123456789", "--x", "1/7"]
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: result has more than 4300 digits; too large to print\n"
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloperm.linkage import (
     CyclicPartition,
@@ -27,6 +29,7 @@ from cycloperm.linkage import (
     moduli_volume_theorem,
     validate,
 )
+from cycloperm.verification import _f_vector_by_partitions, _hits_wall_by_subsets, _profile_by_subsets
 from cycloperm.zonotope import NormalizedVolume
 
 TORUS = validate(("1.2", 1, 1, "0.8", "2.2"))
@@ -99,6 +102,25 @@ def test_a_profiles():
     assert a_profile(TORUS).a == (1, 1, 0, 0, 0)
     assert a_profile(PENTAGON).a == (1, 4, 0, 0, 0)
     assert a_profile(SPHERE).a == (1, 0, 0, 0, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)), min_size=3, max_size=8))
+def test_subset_sum_dps_match_enumeration(pairs):
+    # small numerators over mixed denominators: walls are frequent
+    lengths = sorted(Fraction(v, d) for v, d in pairs)
+    wall = _hits_wall_by_subsets(lengths)
+    try:
+        spec = validate(lengths)
+    except WallHitError:
+        assert wall
+        return
+    except TriangleViolationError:  # raised only past the wall check
+        assert not wall
+        return
+    assert not wall
+    assert a_profile(spec).a == _profile_by_subsets(spec)
+    assert f_vector(spec) == _f_vector_by_partitions(spec)
 
 
 def test_short_set_profile_validation():
