@@ -73,6 +73,13 @@ CLOSED_N_MAX = 300
 # Most bars that linkage cells accepts: f_vector is O(3^bars), 0.1 s at 13.
 LINKAGE_CELLS_MAX_BARS = 13
 
+
+def _digit_limit() -> int:
+    """Python's limit on the digits of an int-str conversion; 0 for none
+    (Python 3.10 has no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?\s*", re.ASCII)
 
 
@@ -82,6 +89,9 @@ def parse_rational(text: str) -> Fraction:
     whitespace."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
+    limit = _digit_limit()
+    if limit and any(len(run) > limit for run in re.findall("[0-9]+", text)):
+        raise ValueError(f"numeral has more than {limit} digits; too large to read")
     return Fraction(text)
 
 
@@ -183,8 +193,7 @@ def _render(records: list[ResultRecord], fmt: str) -> str:
             return json.dumps(payload[0] if len(payload) == 1 else payload)
         return "\n".join(r.to_text() for r in records)
     except ValueError:  # str() refuses integers longer than the limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"result has more than {limit} digits; too large to print") from None
+        raise ValueError(f"result has more than {_digit_limit()} digits; too large to print") from None
 
 
 def _run_verify(args) -> int:

@@ -373,7 +373,11 @@ class EquilateralVolumeComparison:
     agree: bool
 
 
-def equilateral_volume(m: int, *, forest_bound: int = 6) -> EquilateralVolumeComparison:
+# Largest n = 2m for which equilateral_volume also runs the forest route.
+EQUILATERAL_FOREST_MAX = 6
+
+
+def equilateral_volume(m: int) -> EquilateralVolumeComparison:
     if m < 2:
         raise ValueError("need m >= 2")
     n = 2 * m
@@ -381,5 +385,5 @@ def equilateral_volume(m: int, *, forest_bound: int = 6) -> EquilateralVolumeCom
     display = NormalizedVolume(Fraction(n * s), n)
     spec = LinkageSpec((1,) * (n + 1))
     theorem = moduli_volume_theorem(spec)
-    forest = moduli_volume_forests(spec) if n <= forest_bound else None
+    forest = moduli_volume_forests(spec) if n <= EQUILATERAL_FOREST_MAX else None
     return EquilateralVolumeComparison(display, theorem, forest, display == theorem)

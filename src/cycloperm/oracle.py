@@ -15,14 +15,19 @@ from .intlin import IntMatrix
 from .zonotope import NormalizedVolume
 
 
-def permutohedron_lattice_points_direct(n: int, *, bound: int = 5) -> int:
+# Largest n that permutohedron_lattice_points_direct scans (n^n points).
+PERMUTOHEDRON_DIRECT_MAX = 5
+
+
+def permutohedron_lattice_points_direct(n: int) -> int:
     """Count integer points of the permutohedron Pi_n from its facet
     description: coordinates in 1..n summing to n(n+1)/2 with every
-    nonempty proper subset S satisfying sum_S x >= |S|(|S|+1)/2."""
+    nonempty proper subset S satisfying sum_S x >= |S|(|S|+1)/2.  Refuse
+    past PERMUTOHEDRON_DIRECT_MAX."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds oracle bound={bound}")
+    if n > PERMUTOHEDRON_DIRECT_MAX:
+        raise ValueError(f"n={n} exceeds oracle bound={PERMUTOHEDRON_DIRECT_MAX}")
     total_needed = n * (n + 1) // 2
     subsets = []
     for r in range(1, n):
@@ -78,10 +83,13 @@ def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def semiopen_count_direct(columns: IntMatrix, *, max_candidates: int = 2_000_000) -> int:
     """Count lattice points x = sum_i t_i c_i with 0 <= t_i < 1 by scanning
-    the integer bounding box of the brick and solving each candidate exactly.
+    the integer bounding box of the brick on k linearly independent rows.
+    The projection onto those rows is injective on the span, so each
+    candidate y there gives one t, solved exactly; it counts when
+    0 <= t < 1 and the lifted point sum_i t_i c_i is integral.
 
     Dependent columns give 0 (the brick is degenerate).  Raises when the
-    bounding box would hold more than `max_candidates` points."""
+    box would hold more than `max_candidates` points."""
     k = columns.cols
     if k == 0:
         return 1
@@ -91,7 +99,7 @@ def semiopen_count_direct(columns: IntMatrix, *, max_candidates: int = 2_000_000
     inv = _invert([[Fraction(columns.row(i)[j]) for j in range(k)] for i in picked])
     ranges = []
     size = 1
-    for i in range(columns.rows):
+    for i in picked:
         row = columns.row(i)
         lo = sum(min(0, x) for x in row)
         hi = sum(max(0, x) for x in row)
@@ -99,13 +107,13 @@ def semiopen_count_direct(columns: IntMatrix, *, max_candidates: int = 2_000_000
         if size > max_candidates:
             raise ValueError(f"bounding box exceeds {max_candidates} candidate points")
         ranges.append(range(lo, hi + 1))
-    rows = [columns.row(i) for i in range(columns.rows)]
+    others = [columns.row(i) for i in range(columns.rows) if i not in picked]
     count = 0
-    for x in product(*ranges):
-        coeffs = [sum(inv[r][c] * x[picked[c]] for c in range(k)) for r in range(k)]
+    for y in product(*ranges):
+        coeffs = [sum(inv[r][c] * y[c] for c in range(k)) for r in range(k)]
         if any(not (0 <= t < 1) for t in coeffs):
             continue
-        if all(sum(row[j] * coeffs[j] for j in range(k)) == x[i] for i, row in enumerate(rows)):
+        if all(sum(row[j] * coeffs[j] for j in range(k)).denominator == 1 for row in others):
             count += 1
     return count
 

@@ -3,9 +3,14 @@
 The cyclopermutohedron is a virtual zonotope: the formal difference of a
 Minkowski sum of edge segments q_ij = [0, e_j - e_i] and radial segments
 r_i = [0, e - n e_i], translated by e = (1,...,1).  Its volume and its
-lattice-point count are alternating sums over generator selections, all
-streamed by _selections and turned into columns by _columns; both sums
-collapse to closed forms through decorated forests.
+lattice-point count are alternating sums over generator selections; both
+sums collapse to closed forms through decorated forests.  The brute routes
+evaluate the sums as defined, by one depth-first walk over the generator
+subsets (edges, then radials, indices increasing) that carries the
+exterior product of the selected columns as a map from row set to
+Pluecker coordinate, i.e. to maximal minor (on the first n - 1 rows for
+the lattice route, see _lattice_pass).  Adding a column costs one
+expansion along it, so no selection pays for its own elimination.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
 exact rational c and the radicand n travel together in NormalizedVolume.
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .forests import (
@@ -26,7 +31,7 @@ from .forests import (
     forest_count,
     forest_gcd_sum,
 )
-from .intlin import IntMatrix, det_rows, semiopen_lattice_count
+from .intlin import IntMatrix
 
 @dataclass(frozen=True)
 class NormalizedVolume:
@@ -127,51 +132,117 @@ def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
     return n ** (m - 1) * math.gcd(*free_sizes)
 
 
-# --- volumes ---
+# --- the Pluecker walk over generator subsets ---
 
 
 # Largest n that the two brute routes accept.
 VOLUME_BRUTE_MAX = 7
-LATTICE_BRUTE_MAX = 6
+LATTICE_BRUTE_MAX = 7
 
 
-def _strided_sum(args) -> int:
-    term, n, sizes, w, workers = args
-    return sum(term(n, edges, marks) for edges, marks in islice(_selections(n, sizes), w, None, workers))
+def _generators(n: int) -> list:
+    """The generators in walk order: the edges (i, j) in lexicographic
+    order, then the radial marks 1..n."""
+    return list(combinations(range(1, n + 1), 2)) + list(range(1, n + 1))
 
 
-def _parallel_sum(term, n: int, sizes: Iterable[int], jobs: int) -> int:
-    """Sum of term(n, edges, marks) over _selections(n, sizes).  With
-    jobs > 1 and n >= 5, each of min(jobs, cpu_count()) fork-pool workers
-    takes every workers-th selection of the stream, starting at its index."""
+def _wedge_tables(n: int, rows: int) -> list[list[list[tuple[int, int]]]]:
+    """tables[g][S]: the terms of e_S ^ c for the first `rows` coordinates c
+    of generator g's column and a set S of those rows (a bitmask), one
+    (S | {r}, sign * c_r) per row r outside S with c_r != 0.  The sign
+    (-1)^(rows of S above r) is the Laplace sign of c_r in the new last
+    column, so that coordinates are the minors on ascending rows."""
+    gens = _generators(n)
+    edges = len(gens) - n
+    return [
+        [
+            [(S | 1 << r, -c[r] if (S >> r).bit_count() % 2 else c[r]) for r in range(rows) if c[r] and not S >> r & 1]
+            for S in range(1 << rows)
+        ]
+        for c in _columns(n, gens[:edges], gens[edges:])
+    ]
+
+
+def _walk(n: int, tables, root: dict[int, int], depth: int, worker: int = 0, workers: int = 1):
+    """Depth-first walk over the selections of at most `depth` generators,
+    indices increasing.  Yields (selection, state, marks): the generator
+    indices, the exterior product of `root` with their columns as
+    {row bitmask: Pluecker coordinate} without zero coordinates, and the
+    number of radials.  A dependent selection has the empty state and is
+    walked like any other: nothing is pruned.  Worker w of `workers` takes
+    the top-level branches w, w + workers, ...; worker 0 also yields the
+    root."""
+    first_radial = len(tables) - n
+    if worker == 0:
+        yield (), root, 0
+    if depth == 0:
+        return
+    stack = [((), root, 0, g) for g in reversed(range(worker, len(tables), workers))]
+    while stack:
+        selection, parent, marks, g = stack.pop()
+        table = tables[g]
+        state: dict[int, int] = {}
+        for S, x in parent.items():
+            for T, v in table[S]:
+                state[T] = state.get(T, 0) + v * x
+        state = {T: x for T, x in state.items() if x}
+        selection += (g,)
+        marks += g >= first_radial
+        yield selection, state, marks
+        if len(selection) < depth:
+            stack.extend((selection, state, marks, h) for h in range(len(tables) - 1, g, -1))
+
+
+def _parallel_sum(route_pass, n: int, jobs: int) -> int:
+    """route_pass(n, worker, workers) summed over the workers.  With
+    jobs > 1 and n >= 6, each of min(jobs, cpu_count()) fork-pool workers
+    runs its own share of the walk's top-level branches."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and n >= 5:
+    if jobs > 1 and n >= 6:
         import multiprocessing as mp
 
         workers = min(jobs, mp.cpu_count())
         with mp.get_context("fork").Pool(workers) as pool:
-            return sum(pool.map(_strided_sum, [(term, n, sizes, w, workers) for w in range(workers)]))
-    return _strided_sum((term, n, sizes, 0, 1))
+            return sum(pool.starmap(route_pass, [(n, w, workers) for w in range(workers)]))
+    return route_pass(n, 0, 1)
 
 
-def _volume_term(n: int, edges, marks) -> int:
-    d = det_rows(list(zip(*_columns(n, edges, marks), ones_vector(n))))
-    return (-1) ** len(marks) * abs(d)
+# --- volumes ---
+
+
+def _volume_pass(n: int, worker: int, workers: int) -> int:
+    """The volume terms of one worker: the walk starts from the all-ones
+    column and stops at n - 2 generators; each later generator c then adds
+    (-1)^(#radials) |<w, c>|, the pairing with the node's state w."""
+    tables = _wedge_tables(n, n)
+    full = (1 << n) - 1
+    # pairings[g]: the wedge terms of c_g that complete a row set missing one row
+    pairings = [[(S, v) for S in (full ^ 1 << r for r in range(n)) for _, v in table[S]] for table in tables]
+    signs = [1] * (len(tables) - n) + [-1] * n
+    ones = {1 << r: 1 for r in range(n)}
+    total = 0
+    for selection, w, marks in _walk(n, tables, ones, n - 2, worker, workers):
+        if len(selection) == n - 2:
+            terms = 0
+            for g in range(selection[-1] + 1 if selection else 0, len(tables)):
+                terms += signs[g] * abs(sum(v * w.get(S, 0) for S, v in pairings[g]))
+            total += -terms if marks % 2 else terms
+    return total
 
 
 def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     """Volume of the cyclopermutohedron by the defining alternating sum over
-    all (n-1)-subsets of generators, each contributing |det| with sign
-    (-1)^(#radials).  Cost grows as C(n(n+1)/2, n-1); refuse past
-    VOLUME_BRUTE_MAX."""
+    all (n-1)-subsets of generators, each contributing |det| (with the
+    all-ones column) with sign (-1)^(#radials).  Cost grows as
+    C(n(n+1)/2, n-1); refuse past VOLUME_BRUTE_MAX."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     if n > VOLUME_BRUTE_MAX:
         raise ValueError(
             f"n={n} exceeds bound={VOLUME_BRUTE_MAX}; use volume_by_forests or volume_closed_form"
         )
-    return NormalizedVolume(Fraction(_parallel_sum(_volume_term, n, (n - 1,), jobs)), n)
+    return NormalizedVolume(Fraction(_parallel_sum(_volume_pass, n, jobs)), n)
 
 
 def volume_by_forests(n: int) -> NormalizedVolume:
@@ -207,21 +278,31 @@ def permutohedron_volume(n: int) -> NormalizedVolume:
 # --- lattice point counts ---
 
 
-def _lattice_term(n: int, edges, marks) -> int:
-    count = semiopen_lattice_count(IntMatrix.from_columns(_columns(n, edges, marks), dim=n))
-    return (-1) ** len(marks) * count
+def _lattice_pass(n: int, worker: int, workers: int) -> int:
+    """The lattice terms of one worker: every selection of at most n - 1
+    generators adds (-1)^(#radials) times the lattice points of its
+    semiopen brick, the gcd of its maximal minors (0 when the columns are
+    dependent, 1 for the empty selection).  Every generator lies in the
+    hyperplane sum(x) = 0, and dropping the last coordinate maps that
+    hyperplane's lattice points one to one onto Z^(n-1); so the walk
+    carries the Pluecker coordinates on the first n - 1 rows only."""
+    total = 0
+    for _, state, marks in _walk(n, _wedge_tables(n, n - 1), {0: 1}, n - 1, worker, workers):
+        g = math.gcd(*state.values())
+        total += -g if marks % 2 else g
+    return total
 
 
 def lattice_count_bruteforce(n: int, *, jobs: int = 1) -> int:
     """Lattice points of the cyclopermutohedron by the defining alternating
     sum over all generator subsets with |edges| + |marks| <= n - 1, counting
-    each semiopen brick via minor gcds.  Refuse past LATTICE_BRUTE_MAX; use
-    lattice_count_closed_form for larger n."""
+    each semiopen brick as the gcd of its maximal minors.  Refuse past
+    LATTICE_BRUTE_MAX; use lattice_count_closed_form for larger n."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     if n > LATTICE_BRUTE_MAX:
         raise ValueError(f"n={n} exceeds bound={LATTICE_BRUTE_MAX}; use lattice_count_closed_form")
-    return _parallel_sum(_lattice_term, n, range(n), jobs)
+    return _parallel_sum(_lattice_pass, n, jobs)
 
 
 def lattice_count_closed_form(n: int) -> int:

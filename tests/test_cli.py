@@ -158,8 +158,8 @@ def test_points_methods_agree(capsys):
 
 
 def test_jobs_flag(capsys):
-    base = _capture(capsys, ["cyclo", "volume", "--n", "5", "--method", "brute"])
-    para = _capture(capsys, ["cyclo", "volume", "--n", "5", "--method", "brute", "--jobs", "2"])
+    base = _capture(capsys, ["cyclo", "volume", "--n", "6", "--method", "brute"])
+    para = _capture(capsys, ["cyclo", "volume", "--n", "6", "--method", "brute", "--jobs", "2"])
     assert base[0] == para[0] == 0
     assert base[1] == para[1]
 
@@ -322,6 +322,27 @@ def test_unprintable_result_exits_2(capsys):
         code, out, err = _capture(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "error: result has more than 4300 digits; too large to print\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["linkage", "volume", "--lengths", "1,1,1." + "1" * 4301],
+        ["forests", "abel", "--n", "3", "--a", "1/" + "1" * 4301, "--x", "1"],
+        ["forests", "abel", "--n", "3", "--a", "1", "--x", "1" * 4301],
+    ],
+    ids=["lengths", "a", "x"],
+)
+def test_unreadable_numeral_exits_2(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default limit
+    try:
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: numeral has more than 4300 digits; too large to read\n"
     finally:
         sys.set_int_max_str_digits(limit)
 

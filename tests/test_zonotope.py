@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -13,11 +14,14 @@ from cycloperm.forests import (
     PartialDecoratedForest,
     enumerate_partial_decorated_forests,
 )
-from cycloperm.intlin import determinant, semiopen_lattice_count
+from cycloperm.intlin import IntMatrix, det_rows, determinant, semiopen_lattice_count
 from cycloperm.zonotope import (
     NormalizedVolume,
+    _columns,
+    _generators,
     _selections,
-    _strided_sum,
+    _walk,
+    _wedge_tables,
     edge_vector,
     forest_columns,
     forest_det_matrix,
@@ -74,7 +78,7 @@ def test_volume_vanishes():
 
 
 def test_volume_bruteforce_jobs():
-    assert volume_bruteforce(5, jobs=2) == volume_bruteforce(5)
+    assert volume_bruteforce(6, jobs=2) == volume_bruteforce(6)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             volume_bruteforce(5, jobs=jobs)
@@ -109,28 +113,63 @@ def test_det_of_decorated_forest_examples():
         forest_det_matrix(d, marks_as="edge")
 
 
-# --- the stream of generator selections ---
+# --- the walk over generator selections ---
+
+
+def _split(n, selection):
+    """(edges, marks) of a selection of generator indices."""
+    picked = [_generators(n)[g] for g in selection]
+    return tuple(g for g in picked if isinstance(g, tuple)), tuple(g for g in picked if isinstance(g, int))
 
 
 @given(st.integers(2, 5), st.booleans(), st.integers(1, 4))
 def test_strided_passes_cover_every_selection_once(n, volume_sizes, workers):
-    sizes = (n - 1,) if volume_sizes else range(n)
+    tables = _wedge_tables(n, n if volume_sizes else n - 1)
+    depth = n - 2 if volume_sizes else n - 1
     seen = []
-
-    def record(n, edges, marks):
-        seen.append((edges, marks))
-        return 0
-
     for w in range(workers):
-        _strided_sum((record, n, sizes, w, workers))
-    serial = list(_selections(n, sizes))
+        for selection, _, _ in _walk(n, tables, {0: 1}, depth, w, workers):
+            if not volume_sizes:
+                seen.append(selection)
+            elif len(selection) == depth:  # the volume pairs it with every later generator
+                first = selection[-1] + 1 if selection else 0
+                seen.extend(selection + (g,) for g in range(first, len(tables)))
     assert len(set(seen)) == len(seen)
-    assert sorted(seen) == sorted(serial)
+    sizes = (n - 1,) if volume_sizes else range(n)
+    serial = list(_selections(n, sizes))
+    assert sorted(_split(n, s) for s in seen) == sorted(serial)
     generators = n * (n + 1) // 2
     if volume_sizes:
         assert len(serial) == math.comb(generators, n - 1)
     else:
         assert len(serial) == sum(math.comb(generators, k) for k in range(n))
+
+
+def test_walk_coordinates_are_the_minors():
+    # every node against the Bareiss minors of its columns on ascending
+    # rows, sign included: the volume walk's on all n rows after the
+    # all-ones column, the lattice walk's on the first n - 1 rows
+    for n in range(2, 6):
+        ones = {1 << r: 1 for r in range(n)}
+        for rows, root, lead in ((n, ones, [ones_vector(n)]), (n - 1, {0: 1}, [])):
+            for selection, state, marks in _walk(n, _wedge_tables(n, rows), root, n - len(lead)):
+                edges, radials = _split(n, selection)
+                cols = lead + _columns(n, edges, radials)
+                minors = {}
+                for picked in combinations(range(rows), len(cols)):
+                    d = det_rows([[c[r] for c in cols] for r in picked])
+                    if d:
+                        minors[sum(1 << r for r in picked)] = d
+                assert state == minors
+                assert marks == len(radials)
+
+
+def test_dropped_row_keeps_the_brick_count():
+    # the lattice walk's gcd on n - 1 rows is the minor gcd on all n rows
+    for n in range(2, 6):
+        for selection, state, _ in _walk(n, _wedge_tables(n, n - 1), {0: 1}, n - 1):
+            columns = IntMatrix.from_columns(_columns(n, *_split(n, selection)), dim=n)
+            assert math.gcd(*state.values()) == semiopen_lattice_count(columns)
 
 
 # --- sharp and lattice counts ---
@@ -164,7 +203,7 @@ def test_lattice_count_routes_agree_n5():
 
 
 def test_lattice_count_jobs():
-    assert lattice_count_bruteforce(5, jobs=2) == lattice_count_closed_form(5)
+    assert lattice_count_bruteforce(6, jobs=2) == lattice_count_closed_form(6)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             lattice_count_bruteforce(4, jobs=jobs)
@@ -174,7 +213,7 @@ def test_lattice_count_bounds():
     with pytest.raises(ValueError):
         lattice_count_bruteforce(1)
     with pytest.raises(ValueError):
-        lattice_count_bruteforce(7)
+        lattice_count_bruteforce(8)
     with pytest.raises(ValueError):
         lattice_count_closed_form(1)
 
