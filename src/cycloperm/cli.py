@@ -70,10 +70,6 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
 # under a second cold.
 CLOSED_N_MAX = 300
 
-# Most bars that linkage cells accepts: f_vector is O(3^bars), 0.1 s at 13.
-LINKAGE_CELLS_MAX_BARS = 13
-
-
 def _digit_limit() -> int:
     """Python's limit on the digits of an int-str conversion; 0 for none
     (Python 3.10 has no limit)."""
@@ -144,10 +140,7 @@ def _run_perm(args) -> list[ResultRecord]:
 
 
 def _run_linkage(args) -> list[ResultRecord]:
-    lengths = parse_lengths(args.lengths)
-    if args.sub == "cells" and len(lengths) > LINKAGE_CELLS_MAX_BARS:
-        raise ValueError(f"{len(lengths)} bars exceed the cap of {LINKAGE_CELLS_MAX_BARS} bars of linkage cells")
-    spec = linkage_mod.validate(lengths)
+    spec = linkage_mod.validate(parse_lengths(args.lengths))
     n = spec.n
     if args.sub == "volume":
         method = args.method or "theorem"
@@ -166,13 +159,10 @@ def _run_linkage(args) -> list[ResultRecord]:
             _int_record(f"linkage.a[{k}]", a, "short-sets", n)
             for k, a in enumerate(linkage_mod.a_profile(spec).a)
         ]
-    records = [
-        _int_record(f"linkage.f[{k}]", f, "cell-complex", n)
-        for k, f in enumerate(linkage_mod.f_vector(spec))
-    ]
-    records.append(
-        _int_record("linkage.euler", linkage_mod.euler_characteristic(spec), "cell-complex", n)
-    )
+    fvec = linkage_mod.f_vector(spec)
+    records = [_int_record(f"linkage.f[{k}]", f, "cell-complex", n) for k, f in enumerate(fvec)]
+    euler = sum((-1) ** k * f for k, f in enumerate(fvec))
+    records.append(_int_record("linkage.euler", euler, "cell-complex", n))
     return records
 
 

@@ -6,9 +6,12 @@ the complex of cyclically ordered partitions of the bars into short blocks;
 volumes, Betti numbers, and face counts all reduce to the short-set profile
 a_k = #{k-subsets S of [n] with S + {n+1} short}.
 
-The wall check, the profile and the f-vector are dynamic programs over
-subset sums of the lengths scaled to integers over their common
-denominator; the set-partition enumeration stays as the cell enumerator.
+The wall check and one (size, sum) table are dynamic programs over subset
+sums of the lengths scaled to integers over their common denominator.  The
+table gives the profile and the short-set counts, and the f-vector follows
+from those counts and Stirling numbers, since a partition of the bars has at
+most one long block.  The set-partition enumeration stays as the cell
+enumerator.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .forests import enumerate_decorated_forests, set_partitions
@@ -144,19 +147,24 @@ class ShortSetProfile:
         return 0
 
 
-def a_profile(spec: LinkageSpec) -> ShortSetProfile:
-    """The profile by a (size, sum) table over the first n bars: S + {last}
-    is short iff 2 sum(S) < sum(first n) - last, and only such sums are
-    kept, since adding a bar never makes a long set short."""
-    *rest, last = _integer_lengths(spec.lengths)
-    room = sum(rest) - last
-    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in rest]  # ways[k][s]: k-subsets with sum s
-    for i, x in enumerate(rest):
+def _subset_sums(ints: Sequence[int], bound: int) -> list[dict[int, int]]:
+    """ways[k][s] = number of k-subsets of `ints` (all positive) with sum s,
+    kept only while 2 s < bound, since adding an element never lowers a sum."""
+    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in ints]
+    for i, x in enumerate(ints):
         for k in range(i, -1, -1):
             grown = ways[k + 1]
             for s, c in ways[k].items():
-                if 2 * (s + x) < room:
+                if 2 * (s + x) < bound:
                     grown[s + x] = grown.get(s + x, 0) + c
+    return ways
+
+
+def a_profile(spec: LinkageSpec) -> ShortSetProfile:
+    """The profile by a (size, sum) table over the first n bars: S + {last}
+    is short iff 2 sum(S) < sum(first n) - last."""
+    *rest, last = _integer_lengths(spec.lengths)
+    ways = _subset_sums(rest, sum(rest) - last)
     return ShortSetProfile(tuple(sum(w.values()) for w in ways))
 
 
@@ -173,14 +181,18 @@ def moduli_volume_theorem(spec: LinkageSpec) -> NormalizedVolume:
     return NormalizedVolume(Fraction(n * s), n)
 
 
-def moduli_volume_forests(spec: LinkageSpec, *, bound: int = 6) -> NormalizedVolume:
+# Largest n (bars - 1) that moduli_volume_forests accepts.
+_FOREST_VOLUME_MAX = 6
+
+
+def moduli_volume_forests(spec: LinkageSpec) -> NormalizedVolume:
     """Volume of M(L) as the decorated-forest sum of (-n)^(#marks) * N(F)
     restricted to forests whose free tree spans a long vertex set."""
     n = spec.n
     if n < 2:
         raise LinkageError("need at least three bars")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds bound={bound}; use moduli_volume_theorem")
+    if n > _FOREST_VOLUME_MAX:
+        raise ValueError(f"n={n} exceeds bound={_FOREST_VOLUME_MAX}; use moduli_volume_theorem")
     ints = _integer_lengths(spec.lengths)
     perimeter = sum(ints)
     total = 0
@@ -305,50 +317,47 @@ def enumerate_cells(spec: LinkageSpec) -> Iterator[CyclicPartition]:
                 yield CyclicPartition(arrangement + (last,))
 
 
-def _short_partition_counts(spec: LinkageSpec) -> list[int]:
-    """counts[m] = number of partitions of the bars into m short blocks.
+_STIRLING = [[1]]  # row t: S(t, 0..t), grown across calls
 
-    short[mask] comes from subset sums built by the lowest set bit.  A
-    partition of a mask takes its block that holds the lowest bar, a short
-    submask, and a partition of the rest, so every mask reached from the full
-    one lacks bar 1 and all their submask pairs number about 3^(B-1)/2.
-    ways[mask] packs the counts by block number into one integer, digit m at
-    bit m * width; Bell(B) <= B! bounds every digit."""
-    ints = _integer_lengths(spec.lengths)
-    total = sum(ints)
-    bars = len(ints)
-    full = (1 << bars) - 1
-    sums = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + ints[low.bit_length() - 1]
-    short = [2 * s < total for s in sums]
-    width = math.factorial(bars).bit_length()
-    ways = [0] * (full + 1)
-    ways[0] = 1
-    for mask in chain(range(2, full, 2), (full,)):
-        low = mask & -mask
-        others = mask ^ low
-        acc = 0
-        rest = others
-        while True:  # every submask `rest` of `others`; the block is mask ^ rest
-            if short[mask ^ rest]:
-                acc += ways[rest]
-            if not rest:
-                break
-            rest = (rest - 1) & others
-        ways[mask] = acc << width
-    digit = (1 << width) - 1
-    return [(ways[full] >> (m * width)) & digit for m in range(bars + 1)]
+
+def _stirling_rows(b: int) -> list[list[int]]:
+    """Rows 0..b at least of S(t, m) = m S(t-1, m) + S(t-1, m-1)."""
+    global _STIRLING
+    if len(_STIRLING) <= b:
+        rows = list(_STIRLING)
+        while len(rows) <= b:
+            prev = rows[-1]
+            rows.append([0] + [m * prev[m] + prev[m - 1] for m in range(1, len(prev))] + [1])
+        _STIRLING = rows  # publish only the finished list
+    return _STIRLING
 
 
 def f_vector(spec: LinkageSpec) -> tuple[int, ...]:
     """f[k] = number of k-dimensional cells, k = 0..n-2: each partition of
-    the bars into m = n+1-k short blocks contributes (m-1)! cyclic
-    arrangements."""
+    the B = n+1 bars into m = n+1-k short blocks contributes (m-1)! cyclic
+    arrangements.
+
+    Two disjoint long sets would together exceed the perimeter, and no set
+    sums to half of it, so a partition that is not all short has exactly one
+    long block, and the others lie in its short complement.  With l_j long
+    j-sets, the all-short partitions number P_m = S(B, m) - sum_j l_j
+    S(B-j, m-1).  Of the short j-sets, those without the last bar come from
+    the (size, sum) table over the first n bars at the perimeter bound, and
+    those with it are a_{j-1}, the same table at the bound of a_profile."""
     n = spec.n
-    counts = _short_partition_counts(spec)
-    return tuple(counts[n + 1 - k] * math.factorial(n - k) for k in range(n - 1))
+    *rest, last = _integer_lengths(spec.lengths)
+    room = sum(rest) - last
+    ways = _subset_sums(rest, sum(rest) + last)
+    short = [sum(w.values()) for w in ways] + [0]
+    for j, w in enumerate(ways, 1):
+        short[j] += sum(c for s, c in w.items() if 2 * s < room)
+    longs = [math.comb(n + 1, j) - x for j, x in enumerate(short)]
+    stirling = _stirling_rows(n + 1)
+    return tuple(  # S(B-j, m-1) vanishes for j > B-m+1
+        (stirling[n + 1][m] - sum(longs[j] * stirling[n + 1 - j][m - 1] for j in range(1, n + 3 - m)))
+        * math.factorial(m - 1)
+        for m in range(n + 1, 2, -1)
+    )
 
 
 def euler_characteristic(spec: LinkageSpec) -> int:

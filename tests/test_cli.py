@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -255,19 +256,26 @@ def test_linkage_cells(capsys):
     assert records[-1]["coeff"] == "2"
 
 
-def test_linkage_cells_capped(capsys, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started despite more bars than the cap")
-
-    monkeypatch.setattr(linkage, "validate", no_work)
-    monkeypatch.setattr(linkage, "f_vector", no_work)
-    monkeypatch.setattr(linkage, "euler_characteristic", no_work)
-    code, out, err = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 14)])
-    assert (code, out) == (2, "")
-    assert err == "error: 14 bars exceed the cap of 13 bars of linkage cells\n"
-    monkeypatch.undo()
+def test_linkage_cells_uncapped(capsys):
+    # 23 bars: equilateral, and random rationals over denominators up to 10
+    rng = random.Random(23)
+    while True:
+        lengths = sorted(Fraction(rng.randrange(1, 20), rng.randrange(1, 11)) for _ in range(23))
+        try:
+            linkage.validate(lengths)
+            break
+        except linkage.LinkageError:
+            continue
+    for text in (",".join(["1"] * 23), ",".join(str(x) for x in lengths)):
+        code, out, _ = _capture(capsys, ["linkage", "cells", "--lengths", text, "--format", "json"])
+        assert code == 0
+        records = json.loads(out)
+        assert [r["quantity"] for r in records] == [f"linkage.f[{k}]" for k in range(21)] + ["linkage.euler"]
+        code, out, _ = _capture(capsys, ["linkage", "betti", "--lengths", text, "--format", "json"])
+        assert code == 0
+        betti = [int(r["coeff"]) for r in json.loads(out)]
+        assert int(records[-1]["coeff"]) == sum((-1) ** k * x for k, x in enumerate(betti))
     code, out, _ = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 13)])
-    assert code == 0
     assert out.splitlines()[-1] == "linkage.euler n=12 method=cell-complex coeff=-924 radicand=1 approx=-924"
 
 

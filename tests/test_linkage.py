@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -123,6 +124,22 @@ def test_subset_sum_dps_match_enumeration(pairs):
     assert f_vector(spec) == _f_vector_by_partitions(spec)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)), min_size=10, max_size=20))
+def test_f_vector_beyond_enumeration(pairs):
+    # past the reach of the set-partition enumeration: the f-vector's Euler
+    # characteristic is the Betti numbers', and every k-cell count is a
+    # multiple of the (n-k)! cyclic arrangements of one partition
+    try:
+        spec = validate(sorted(Fraction(v, d) for v, d in pairs))
+    except LinkageError:
+        return
+    f = f_vector(spec)
+    b = betti_vector(spec)
+    assert sum((-1) ** k * x for k, x in enumerate(f)) == sum((-1) ** k * x for k, x in enumerate(b))
+    assert all(x >= 0 and x % math.factorial(spec.n - k) == 0 for k, x in enumerate(f))
+
+
 def test_short_set_profile_validation():
     with pytest.raises(ValueError):
         ShortSetProfile((0, 1))
@@ -157,8 +174,9 @@ def test_volume_forests_bound():
     spec = validate((1,) * 9)
     with pytest.raises(ValueError):
         moduli_volume_forests(spec)
-    with pytest.raises(ValueError):
-        moduli_volume_forests(TORUS, bound=3)
+    # n = 7, one above the cap, with the message the CLI prints
+    with pytest.raises(ValueError, match=r"^n=7 exceeds bound=6; use moduli_volume_theorem$"):
+        moduli_volume_forests(validate((1,) * 7 + (2,)))
 
 
 def test_betti_numbers():
