@@ -3,95 +3,76 @@ linkage configuration spaces.
 
 All arithmetic is exact (integers and fractions); volumes of the form
 c / sqrt(n) are carried as a rational coefficient plus an integer radicand.
+
+`import cycloperm` loads no submodule: each exported name imports its
+submodule on first access (PEP 562).
 """
 
 from __future__ import annotations
 
-from .forests import (
-    DecoratedForest,
-    LabeledForest,
-    PartialDecoratedForest,
-    abel_eval,
-    enumerate_decorated_forests,
-    enumerate_partial_decorated_forests,
-    enumerate_trees,
-    forest_count,
-    forest_gcd_sum,
-    reduce_decorated_forest,
-    rooted_forest_counts,
-)
-from .intlin import IntMatrix, determinant, semiopen_lattice_count
-from .linkage import (
-    CyclicPartition,
-    LinkageError,
-    LinkageSpec,
-    ShortSetProfile,
-    a_profile,
-    betti,
-    betti_vector,
-    enumerate_cells,
-    equilateral_volume,
-    euler_characteristic,
-    f_vector,
-    is_refinement,
-    is_short,
-    moduli_volume_forests,
-    moduli_volume_theorem,
-    validate,
-)
-from .zonotope import (
-    NormalizedVolume,
-    lattice_count_bruteforce,
-    lattice_count_closed_form,
-    permutohedron_lattice_count,
-    permutohedron_volume,
-    sharp_of_partial_forest,
-    volume_bruteforce,
-    volume_by_forests,
-    volume_closed_form,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DecoratedForest",
-    "LabeledForest",
-    "PartialDecoratedForest",
-    "abel_eval",
-    "enumerate_decorated_forests",
-    "enumerate_partial_decorated_forests",
-    "enumerate_trees",
-    "forest_count",
-    "forest_gcd_sum",
-    "reduce_decorated_forest",
-    "rooted_forest_counts",
-    "IntMatrix",
-    "determinant",
-    "semiopen_lattice_count",
-    "CyclicPartition",
-    "LinkageError",
-    "LinkageSpec",
-    "ShortSetProfile",
-    "a_profile",
-    "betti",
-    "betti_vector",
-    "enumerate_cells",
-    "equilateral_volume",
-    "euler_characteristic",
-    "f_vector",
-    "is_refinement",
-    "is_short",
-    "moduli_volume_forests",
-    "moduli_volume_theorem",
-    "validate",
-    "NormalizedVolume",
-    "lattice_count_bruteforce",
-    "lattice_count_closed_form",
-    "permutohedron_lattice_count",
-    "permutohedron_volume",
-    "sharp_of_partial_forest",
-    "volume_bruteforce",
-    "volume_by_forests",
-    "volume_closed_form",
-    "__version__",
-]
+_EXPORTS = {
+    "forests": (
+        "DecoratedForest",
+        "LabeledForest",
+        "PartialDecoratedForest",
+        "abel_eval",
+        "enumerate_decorated_forests",
+        "enumerate_partial_decorated_forests",
+        "enumerate_trees",
+        "forest_count",
+        "forest_gcd_sum",
+        "reduce_decorated_forest",
+        "rooted_forest_counts",
+    ),
+    "intlin": ("IntMatrix", "determinant", "semiopen_lattice_count"),
+    "linkage": (
+        "CyclicPartition",
+        "LinkageError",
+        "LinkageSpec",
+        "ShortSetProfile",
+        "a_profile",
+        "betti",
+        "betti_vector",
+        "enumerate_cells",
+        "equilateral_volume",
+        "euler_characteristic",
+        "f_vector",
+        "is_refinement",
+        "is_short",
+        "moduli_volume_forests",
+        "moduli_volume_theorem",
+        "validate",
+    ),
+    "zonotope": (
+        "NormalizedVolume",
+        "lattice_count_bruteforce",
+        "lattice_count_closed_form",
+        "permutohedron_lattice_count",
+        "permutohedron_volume",
+        "sharp_of_partial_forest",
+        "volume_bruteforce",
+        "volume_by_forests",
+        "volume_closed_form",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

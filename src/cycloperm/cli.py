@@ -17,10 +17,12 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import forests as forests_mod
-from . import linkage as linkage_mod
-from . import verification, zonotope
+if TYPE_CHECKING:
+    from .zonotope import NormalizedVolume
+
+# Each runner imports the modules it calls, so a command loads only those.
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def parse_lengths(text: str) -> list[Fraction]:
     return [parse_rational(p) for p in parts]
 
 
-def _volume_record(quantity: str, vol: zonotope.NormalizedVolume, method: str, n: int) -> ResultRecord:
+def _volume_record(quantity: str, vol: NormalizedVolume, method: str, n: int) -> ResultRecord:
     return ResultRecord(quantity, vol.coeff, vol.radicand, method, n)
 
 
@@ -114,6 +116,8 @@ def _closed_n(n: int) -> int:
 
 
 def _run_cyclo(args) -> list[ResultRecord]:
+    from . import zonotope
+
     n = args.n
     if args.sub == "volume":
         method = args.method or "forests"
@@ -133,6 +137,8 @@ def _run_cyclo(args) -> list[ResultRecord]:
 
 
 def _run_perm(args) -> list[ResultRecord]:
+    from . import zonotope
+
     n = args.n
     if args.sub == "volume":
         return [_volume_record("perm.volume", zonotope.permutohedron_volume(_closed_n(n)), "closed", n)]
@@ -140,6 +146,8 @@ def _run_perm(args) -> list[ResultRecord]:
 
 
 def _run_linkage(args) -> list[ResultRecord]:
+    from . import linkage as linkage_mod
+
     spec = linkage_mod.validate(parse_lengths(args.lengths))
     n = spec.n
     if args.sub == "volume":
@@ -167,6 +175,8 @@ def _run_linkage(args) -> list[ResultRecord]:
 
 
 def _run_forests(args) -> list[ResultRecord]:
+    from . import forests as forests_mod
+
     n = args.n
     if args.sub == "phi":
         return [_int_record("forests.phi", forests_mod.forest_count(_closed_n(n)), "partition-sum", n)]
@@ -187,6 +197,8 @@ def _render(records: list[ResultRecord], fmt: str) -> str:
 
 
 def _run_verify(args) -> int:
+    from . import verification
+
     results = verification.run_all(args.n_max, jobs=args.jobs)
     failed = [r for r in results if not r.passed]
     if args.format == "json":

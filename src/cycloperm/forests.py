@@ -7,7 +7,7 @@ are deterministic so downstream output is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -27,8 +27,9 @@ def _normalize_edges(n: int, edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]
     return tuple(sorted(seen))
 
 
-def _union_find_components(vertices: Iterable[int], edges: Iterable[Edge]) -> dict[int, int]:
-    """Map each vertex to its component representative (path-compressed DSU)."""
+def components_of(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[frozenset[int], ...]:
+    """Connected components of an acyclic graph, sorted by least vertex
+    (path-compressed union-find); raises on a cycle."""
     parent = {v: v for v in vertices}
 
     def find(x: int) -> int:
@@ -42,15 +43,9 @@ def _union_find_components(vertices: Iterable[int], edges: Iterable[Edge]) -> di
         if ri == rj:
             raise ValueError(f"edges contain a cycle through ({i},{j})")
         parent[max(ri, rj)] = min(ri, rj)
-    return {v: find(v) for v in parent}
-
-
-def components_of(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[frozenset[int], ...]:
-    """Connected components of an acyclic graph, sorted by least vertex."""
-    root = _union_find_components(vertices, edges)
     groups: dict[int, set[int]] = {}
-    for v, r in root.items():
-        groups.setdefault(r, set()).add(v)
+    for v in parent:
+        groups.setdefault(find(v), set()).add(v)
     return tuple(frozenset(groups[r]) for r in sorted(groups))
 
 
@@ -60,21 +55,25 @@ class LabeledForest:
 
     vertex_count: int
     edges: tuple[Edge, ...]
+    _components: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, vertex_count: int, edges: Iterable[Iterable[int]] = ()):
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
         normalized = _normalize_edges(vertex_count, edges)
-        _union_find_components(range(1, vertex_count + 1), normalized)  # acyclicity check
+        components = components_of(range(1, vertex_count + 1), normalized)  # raises on a cycle
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", normalized)
+        object.__setattr__(self, "_components", components)
 
     @property
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
 
     def components(self) -> tuple[frozenset[int], ...]:
-        return components_of(self.vertices, self.edges)
+        """Connected components, sorted by least vertex (computed once, at
+        construction)."""
+        return self._components
 
     @property
     def edge_count(self) -> int:

@@ -181,8 +181,9 @@ def moduli_volume_theorem(spec: LinkageSpec) -> NormalizedVolume:
     return NormalizedVolume(Fraction(n * s), n)
 
 
-# Largest n (bars - 1) that moduli_volume_forests accepts.
-_FOREST_VOLUME_MAX = 6
+# Largest n (bars - 1) that moduli_volume_forests accepts; equilateral_volume
+# runs that forest route for n = 2m up to here.
+EQUILATERAL_FOREST_MAX = 6
 
 
 def moduli_volume_forests(spec: LinkageSpec) -> NormalizedVolume:
@@ -191,8 +192,8 @@ def moduli_volume_forests(spec: LinkageSpec) -> NormalizedVolume:
     n = spec.n
     if n < 2:
         raise LinkageError("need at least three bars")
-    if n > _FOREST_VOLUME_MAX:
-        raise ValueError(f"n={n} exceeds bound={_FOREST_VOLUME_MAX}; use moduli_volume_theorem")
+    if n > EQUILATERAL_FOREST_MAX:
+        raise ValueError(f"n={n} exceeds bound={EQUILATERAL_FOREST_MAX}; use moduli_volume_theorem")
     ints = _integer_lengths(spec.lengths)
     perimeter = sum(ints)
     total = 0
@@ -380,10 +381,6 @@ class EquilateralVolumeComparison:
     theorem: NormalizedVolume
     forest: NormalizedVolume | None
     agree: bool
-
-
-# Largest n = 2m for which equilateral_volume also runs the forest route.
-EQUILATERAL_FOREST_MAX = 6
 
 
 def equilateral_volume(m: int) -> EquilateralVolumeComparison:

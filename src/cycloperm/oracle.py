@@ -7,12 +7,17 @@ formula implementations it validates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
+from operator import mul
+from typing import TYPE_CHECKING
 
-from .intlin import IntMatrix
 from .zonotope import NormalizedVolume
+
+if TYPE_CHECKING:
+    from .intlin import IntMatrix
 
 
 # Largest n that permutohedron_lattice_points_direct scans (n^n points).
@@ -85,8 +90,11 @@ def semiopen_count_direct(columns: IntMatrix, *, max_candidates: int = 2_000_000
     """Count lattice points x = sum_i t_i c_i with 0 <= t_i < 1 by scanning
     the integer bounding box of the brick on k linearly independent rows.
     The projection onto those rows is injective on the span, so each
-    candidate y there gives one t, solved exactly; it counts when
-    0 <= t < 1 and the lifted point sum_i t_i c_i is integral.
+    candidate y there gives one t = A^-1 y, where A is the k x k block of
+    those rows.  With den the lcm of the denominators of A^-1 and the
+    integer matrix adj = den A^-1, u = adj y = den t; y counts when every
+    entry of u lies in [0, den) (0 <= t < 1) and every other row's dot
+    product with u is divisible by den (the lifted point is integral).
 
     Dependent columns give 0 (the brick is degenerate).  Raises when the
     box would hold more than `max_candidates` points."""
@@ -97,6 +105,8 @@ def semiopen_count_direct(columns: IntMatrix, *, max_candidates: int = 2_000_000
     if picked is None:
         return 0
     inv = _invert([[Fraction(columns.row(i)[j]) for j in range(k)] for i in picked])
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    adj = [[int(x * den) for x in row] for row in inv]
     ranges = []
     size = 1
     for i in picked:
@@ -110,10 +120,8 @@ def semiopen_count_direct(columns: IntMatrix, *, max_candidates: int = 2_000_000
     others = [columns.row(i) for i in range(columns.rows) if i not in picked]
     count = 0
     for y in product(*ranges):
-        coeffs = [sum(inv[r][c] * y[c] for c in range(k)) for r in range(k)]
-        if any(not (0 <= t < 1) for t in coeffs):
-            continue
-        if all(sum(row[j] * coeffs[j] for j in range(k)).denominator == 1 for row in others):
+        u = [sum(map(mul, row, y)) for row in adj]
+        if all(0 <= v < den for v in u) and all(sum(map(mul, row, u)) % den == 0 for row in others):
             count += 1
     return count
 

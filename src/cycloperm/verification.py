@@ -248,11 +248,11 @@ def _check_linkage_volumes(n_max: int, jobs: int) -> str:
             vol = linkage.moduli_volume_theorem(spec)
             _require(vol == linkage.moduli_volume_forests(spec), f"routes differ for {spec.lengths}")
             checked += 1
-    for m in (2, 3):
-        cmp = linkage.equilateral_volume(m)
+    comparisons = {m: linkage.equilateral_volume(m) for m in (2, 3)}
+    for m, cmp in comparisons.items():
         _require(cmp.forest == cmp.theorem, f"equilateral routes differ at m={m}")
         _require(not cmp.agree, f"binomial display unexpectedly agrees at m={m}")
-    cmp = linkage.equilateral_volume(2)
+    cmp = comparisons[2]
     _require(cmp.binomial_display == zonotope.NormalizedVolume(16, 4), "equilateral display")
     _require(cmp.theorem == zonotope.NormalizedVolume(-80, 4), "equilateral theorem value")
     return f"three named + {checked} random linkages agree across routes; equilateral display flagged"

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -378,3 +381,34 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = _capture(capsys, ["verify"])
     assert code == 3
     assert "FAIL x: boom" in out
+
+
+_LAZY_PROBE = """
+import sys
+
+def loaded():
+    return {m for m in sys.modules if m.startswith("cycloperm.")}
+
+import cycloperm
+assert loaded() == set(), loaded()
+import contextlib, io
+import cycloperm.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cycloperm.cli.run(["forests", "phi", "--n", "5"]) == 0
+unused = {"cycloperm." + m for m in ("verification", "oracle", "linkage", "intlin")}
+assert not loaded() & unused, loaded()
+namespace = {}
+exec("from cycloperm import *", namespace)
+missing = [name for name in cycloperm.__all__ if name not in namespace]
+assert not missing, missing
+assert set(cycloperm.__all__) <= set(dir(cycloperm))
+"""
+
+
+def test_package_and_cli_load_modules_lazily():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

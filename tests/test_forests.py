@@ -205,6 +205,31 @@ def test_labeled_forest_validation():
         LabeledForest(0)
 
 
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1]), max_size=9),
+        )
+    )
+)
+def test_stored_components_match_components_of(case):
+    # the components kept at construction, or the same cycle error
+    n, edges = case
+    normalized = tuple(sorted({(min(e), max(e)) for e in edges}))
+    try:
+        expected = components_of(range(1, n + 1), normalized)
+    except ValueError as exc:
+        assert _has_cycle(n, normalized)
+        with pytest.raises(ValueError) as raised:
+            LabeledForest(n, edges)
+        assert str(raised.value) == str(exc)
+        return
+    assert not _has_cycle(n, normalized)
+    assert LabeledForest(n, edges).components() == expected
+    assert list(map(set, expected)) == _brute_components(n, normalized)
+
+
 def test_forest_count_known_values():
     assert [forest_count(n) for n in range(0, 6)] == [1, 1, 2, 7, 38, 291]
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloperm.forests import enumerate_partial_decorated_forests
 from cycloperm.intlin import IntMatrix, semiopen_lattice_count
@@ -56,6 +58,24 @@ def test_semiopen_direct_matches_minor_gcd_random():
             [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
         )
         assert semiopen_count_direct(m) == semiopen_lattice_count(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 5)
+    .flatmap(lambda rows: st.tuples(st.just(rows), st.integers(1, rows)))
+    .flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        )
+    )
+)
+def test_semiopen_direct_matches_minor_gcd(rows):
+    # dependent columns (count 0) come up too
+    m = IntMatrix.from_rows(rows)
+    assert semiopen_count_direct(m) == semiopen_lattice_count(m)
 
 
 def test_semiopen_direct_matches_sharp_formula():
