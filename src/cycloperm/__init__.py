@@ -28,7 +28,7 @@ _EXPORTS = {
         "reduce_decorated_forest",
         "rooted_forest_counts",
     ),
-    "intlin": ("IntMatrix", "determinant", "semiopen_lattice_count"),
+    "intlin": ("det_rows", "semiopen_lattice_count"),
     "linkage": (
         "CyclicPartition",
         "LinkageError",

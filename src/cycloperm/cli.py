@@ -68,8 +68,8 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
 
 
 # Largest n that forests phi/Phi/abel, perm volume/points, cyclo volume
-# --method forests and cyclo points --method closed accept; n = 300 takes
-# under a second cold.
+# --method forests and cyclo points --method closed accept, and the largest
+# verify --n-max; n = 300 takes under a second cold.
 CLOSED_N_MAX = 300
 
 def _digit_limit() -> int:
@@ -94,10 +94,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_lengths(text: str) -> list[Fraction]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty length list")
-    return [parse_rational(p) for p in parts]
+    """Comma-separated rationals; every field, an empty one too, must
+    parse."""
+    return [parse_rational(p) for p in text.split(",")]
 
 
 def _volume_record(quantity: str, vol: NormalizedVolume, method: str, n: int) -> ResultRecord:
@@ -197,6 +196,8 @@ def _render(records: list[ResultRecord], fmt: str) -> str:
 
 
 def _run_verify(args) -> int:
+    if args.n_max > CLOSED_N_MAX:
+        raise ValueError(f"n_max={args.n_max} exceeds the cap n_max <= {CLOSED_N_MAX} of verify")
     from . import verification
 
     results = verification.run_all(args.n_max, jobs=args.jobs)

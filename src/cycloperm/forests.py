@@ -83,9 +83,6 @@ class LabeledForest:
     def component_count(self) -> int:
         return self.vertex_count - len(self.edges)
 
-    def is_tree(self) -> bool:
-        return self.component_count == 1
-
 
 def _check_marks(forest: LabeledForest, marked: frozenset[int]) -> tuple[frozenset[int], ...]:
     n = forest.vertex_count
@@ -157,9 +154,6 @@ class PartialDecoratedForest:
 
     def free_components(self) -> tuple[frozenset[int], ...]:
         return tuple(c for c in self.forest.components() if not (c & self.marked))
-
-    def marked_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(c for c in self.forest.components() if c & self.marked)
 
 
 def prufer_decode(labels: Sequence[int], seq: Sequence[int]) -> tuple[Edge, ...]:

@@ -12,16 +12,14 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 from .zonotope import NormalizedVolume
 
-if TYPE_CHECKING:
-    from .intlin import IntMatrix
-
-
 # Largest n that permutohedron_lattice_points_direct scans (n^n points).
 PERMUTOHEDRON_DIRECT_MAX = 5
+# Largest bounding box, in candidate points, that semiopen_count_direct scans.
+SEMIOPEN_DIRECT_MAX = 2_000_000
 
 
 def permutohedron_lattice_points_direct(n: int) -> int:
@@ -47,35 +45,15 @@ def permutohedron_lattice_points_direct(n: int) -> int:
     return count
 
 
-def _fraction_rows(m: IntMatrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
-
-
-def _independent_rows(m: IntMatrix) -> list[int] | None:
-    """Indices of `cols` linearly independent rows, or None if rank < cols."""
-    rows = _fraction_rows(m)
-    picked: list[int] = []
-    basis: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        vec = list(row)
-        for b in basis:
-            lead = next(j for j in range(len(b)) if b[j] != 0)
-            if vec[lead] != 0:
-                f = vec[lead] / b[lead]
-                vec = [x - f * y for x, y in zip(vec, b)]
-        if any(x != 0 for x in vec):
-            basis.append(vec)
-            picked.append(idx)
-            if len(picked) == m.cols:
-                return picked
-    return None
-
-
-def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def _invert(rows: list[tuple[int, ...]]) -> list[list[Fraction]] | None:
+    """Inverse of a square integer matrix by Gauss-Jordan elimination over
+    the rationals; None when the matrix is singular."""
     k = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(rows)]
+    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(rows)]
     for c in range(k):
-        p = next(i for i in range(c, k) if aug[i][c] != 0)
+        p = next((i for i in range(c, k) if aug[i][c] != 0), None)
+        if p is None:
+            return None
         aug[c], aug[p] = aug[p], aug[c]
         pivot = aug[c][c]
         aug[c] = [x / pivot for x in aug[c]]
@@ -86,38 +64,43 @@ def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [r[k:] for r in aug]
 
 
-def semiopen_count_direct(columns: IntMatrix, *, max_candidates: int = 2_000_000) -> int:
+def semiopen_count_direct(columns: Sequence[Sequence[int]]) -> int:
     """Count lattice points x = sum_i t_i c_i with 0 <= t_i < 1 by scanning
-    the integer bounding box of the brick on k linearly independent rows.
-    The projection onto those rows is injective on the span, so each
-    candidate y there gives one t = A^-1 y, where A is the k x k block of
-    those rows.  With den the lcm of the denominators of A^-1 and the
+    the integer bounding box of the brick on k linearly independent rows:
+    the first k-subset of rows, in combinations order, whose block A is
+    invertible (the greedy basis of the row matroid).  The projection onto
+    those rows is injective on the span, so each candidate y there gives
+    one t = A^-1 y.  With den the lcm of the denominators of A^-1 and the
     integer matrix adj = den A^-1, u = adj y = den t; y counts when every
     entry of u lies in [0, den) (0 <= t < 1) and every other row's dot
     product with u is divisible by den (the lifted point is integral).
 
     Dependent columns give 0 (the brick is degenerate).  Raises when the
-    box would hold more than `max_candidates` points."""
-    k = columns.cols
+    box would hold more than SEMIOPEN_DIRECT_MAX points."""
+    k = len(columns)
     if k == 0:
         return 1
-    picked = _independent_rows(columns)
-    if picked is None:
+    if any(len(c) != len(columns[0]) for c in columns):
+        raise ValueError("ragged columns")
+    rows = list(zip(*columns))
+    for picked in combinations(range(len(rows)), k):
+        inv = _invert([rows[i] for i in picked])
+        if inv is not None:
+            break
+    else:
         return 0
-    inv = _invert([[Fraction(columns.row(i)[j]) for j in range(k)] for i in picked])
     den = math.lcm(*(x.denominator for row in inv for x in row))
     adj = [[int(x * den) for x in row] for row in inv]
     ranges = []
     size = 1
     for i in picked:
-        row = columns.row(i)
-        lo = sum(min(0, x) for x in row)
-        hi = sum(max(0, x) for x in row)
+        lo = sum(min(0, x) for x in rows[i])
+        hi = sum(max(0, x) for x in rows[i])
         size *= hi - lo + 1
-        if size > max_candidates:
-            raise ValueError(f"bounding box exceeds {max_candidates} candidate points")
+        if size > SEMIOPEN_DIRECT_MAX:
+            raise ValueError(f"bounding box exceeds {SEMIOPEN_DIRECT_MAX} candidate points")
         ranges.append(range(lo, hi + 1))
-    others = [columns.row(i) for i in range(columns.rows) if i not in picked]
+    others = [row for i, row in enumerate(rows) if i not in picked]
     count = 0
     for y in product(*ranges):
         u = [sum(map(mul, row, y)) for row in adj]

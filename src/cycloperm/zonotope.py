@@ -31,7 +31,7 @@ from .forests import (
     forest_count,
     forest_gcd_sum,
 )
-from .intlin import IntMatrix
+
 
 @dataclass(frozen=True)
 class NormalizedVolume:
@@ -94,18 +94,18 @@ def _columns(n: int, edges, marks) -> list[tuple[int, ...]]:
     return [edge_vector(n, i, j) for i, j in edges] + [radial_vector(n, k) for k in marks]
 
 
-def forest_columns(forest: PartialDecoratedForest | DecoratedForest) -> IntMatrix:
+def forest_columns(forest: PartialDecoratedForest | DecoratedForest) -> list[tuple[int, ...]]:
     """Generator columns selected by a (partial) decorated forest: one edge
     vector per edge (lexicographic) and one radial vector per mark
     (ascending)."""
     n = forest.forest.vertex_count
-    return IntMatrix.from_columns(_columns(n, forest.forest.edges, sorted(forest.marked)), dim=n)
+    return _columns(n, forest.forest.edges, sorted(forest.marked))
 
 
-def forest_det_matrix(forest: DecoratedForest, marks_as: str = "radial") -> IntMatrix:
-    """Square n x n matrix of a decorated forest: edge columns, then one
-    column per mark (the radial vector, or the standard unit vector when
-    marks_as="unit"), then the all-ones column."""
+def forest_det_matrix(forest: DecoratedForest, marks_as: str = "radial") -> list[tuple[int, ...]]:
+    """The n columns of the square matrix of a decorated forest: edge
+    columns, then one column per mark (the radial vector, or the standard
+    unit vector when marks_as="unit"), then the all-ones column."""
     n = forest.forest.vertex_count
     marks = sorted(forest.marked)
     if marks_as == "radial":
@@ -115,7 +115,7 @@ def forest_det_matrix(forest: DecoratedForest, marks_as: str = "radial") -> IntM
         cols += [tuple(int(i == k) for i in range(1, n + 1)) for k in marks]
     else:
         raise ValueError("marks_as must be 'radial' or 'unit'")
-    return IntMatrix.from_columns(cols + [ones_vector(n)], dim=n)
+    return cols + [ones_vector(n)]
 
 
 def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:

@@ -311,6 +311,10 @@ def test_validation_exit_codes(capsys):
     assert _capture(capsys, ["cyclo", "volume", "--n", "1"])[0] == 2
     assert _capture(capsys, ["cyclo", "points", "--n", "9", "--method", "brute"])[0] == 2
     assert _capture(capsys, ["linkage", "volume", "--lengths", "1,abc"])[0] == 2
+    # every field must be a length: an empty one is not skipped
+    for text in ("1,,1", "1,1,1,", ",", "", "1,,1,1,"):
+        argv = ["linkage", "volume", "--lengths", text]
+        assert _capture(capsys, argv) == (2, "", "error: not a rational number: ''\n")
     # argparse-level failures also exit 2
     assert run(["cyclo", "volume"]) == 2
     assert run(["bogus"]) == 2
@@ -374,6 +378,13 @@ def test_verify_text_output(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def test_verify_n_max_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "run_all", lambda n_max, jobs=1: pytest.fail("a check ran"))
+    code, out, err = _capture(capsys, ["verify", "--n-max", "301"])
+    assert (code, out) == (2, "")
+    assert err == "error: n_max=301 exceeds the cap n_max <= 300 of verify\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
         verification, "run_all", lambda n_max, jobs=1: [verification.CheckResult("x", False, "boom")]
@@ -397,6 +408,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cycloperm.cli.run(["forests", "phi", "--n", "5"]) == 0
 unused = {"cycloperm." + m for m in ("verification", "oracle", "linkage", "intlin")}
 assert not loaded() & unused, loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cycloperm.cli.run(["cyclo", "points", "--n", "4"]) == 0
+    assert cycloperm.cli.run(["linkage", "volume", "--lengths", "1,1,1,1,1"]) == 0
+assert not loaded() & {"cycloperm.intlin", "cycloperm.oracle"}, loaded()
 namespace = {}
 exec("from cycloperm import *", namespace)
 missing = [name for name in cycloperm.__all__ if name not in namespace]

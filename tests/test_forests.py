@@ -150,7 +150,7 @@ def test_enumerate_trees_cayley():
         assert len(trees) == (n ** (n - 2) if n >= 2 else 1)
         assert len(set(t.edges for t in trees)) == len(trees)
         for t in trees:
-            assert t.is_tree()
+            assert t.component_count == 1
     with pytest.raises(ValueError):
         list(enumerate_trees(0))
 
@@ -344,7 +344,7 @@ def test_partial_decorated_forest_validation():
     f = LabeledForest(3, [])
     p = PartialDecoratedForest(f, [1, 2])
     assert p.free_components() == (frozenset({3}),)
-    assert p.marked_components() == (frozenset({1}), frozenset({2}))
+    assert tuple(c for c in f.components() if c & p.marked) == (frozenset({1}), frozenset({2}))
     with pytest.raises(ValueError):
         PartialDecoratedForest(f, [1, 2, 3])  # cap |edges| + |marks| <= n - 1
     with pytest.raises(ValueError):
@@ -409,7 +409,7 @@ def test_reduce_properties():
             # invariant: |edges| + |marks| preserved, free components unchanged
             assert len(r.forest.edges) + len(r.marked) == len(p.forest.edges) + len(p.marked)
             assert r.free_components() == p.free_components()
-            assert all(len(c) == 1 for c in r.marked_components())
+            assert all(len(c) == 1 for c in r.forest.components() if c & r.marked)
             r2 = reduce_decorated_forest(r)
             assert (r2.forest.edges, r2.marked) == (r.forest.edges, r.marked)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cycloperm.linkage import (
     CyclicPartition,
     LinkageError,
-    LinkageSpec,
     LongestNotLastError,
     NonPositiveLengthError,
     ShortSetProfile,
@@ -30,22 +29,17 @@ from cycloperm.linkage import (
     moduli_volume_theorem,
     validate,
 )
-from cycloperm.verification import _f_vector_by_partitions, _hits_wall_by_subsets, _profile_by_subsets
+from cycloperm.verification import (
+    _f_vector_by_partitions,
+    _hits_wall_by_subsets,
+    _profile_by_subsets,
+    _random_linkage,
+)
 from cycloperm.zonotope import NormalizedVolume
 
 TORUS = validate(("1.2", 1, 1, "0.8", "2.2"))
 PENTAGON = validate((1, 1, 1, 1, 1))
 SPHERE = validate((1, 1, 1, 1, "3.5"))
-
-
-def _random_linkage(rng: random.Random, bars: int) -> LinkageSpec:
-    while True:
-        den = rng.choice([4, 5, 8, 10])
-        nums = sorted(rng.randrange(1, 60) for _ in range(bars))
-        try:
-            return validate([Fraction(v, den) for v in nums])
-        except LinkageError:
-            continue
 
 
 def test_validation_errors():

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloperm.forests import enumerate_partial_decorated_forests
-from cycloperm.intlin import IntMatrix, semiopen_lattice_count
+from cycloperm.intlin import semiopen_lattice_count
 from cycloperm.oracle import (
+    SEMIOPEN_DIRECT_MAX,
     hexagon_area_direct,
     permutohedron_lattice_points_direct,
     semiopen_count_direct,
@@ -36,17 +37,23 @@ def test_permutohedron_points_direct_matches_formula():
 
 
 def test_semiopen_direct_basics():
-    assert semiopen_count_direct(IntMatrix.from_columns([], dim=3)) == 1
-    assert semiopen_count_direct(IntMatrix.from_columns([(2, 2)])) == 2
-    assert semiopen_count_direct(IntMatrix.from_columns([(1, 2), (2, 4)])) == 0
-    assert semiopen_count_direct(IntMatrix.from_columns([(1, 0), (1, 2)])) == 2
-    with pytest.raises(ValueError):
-        semiopen_count_direct(IntMatrix.from_columns([(3000, 3000)]), max_candidates=1000)
+    assert semiopen_count_direct([]) == 1
+    assert semiopen_count_direct([(2, 2)]) == 2
+    assert semiopen_count_direct([(1, 2), (2, 4)]) == 0
+    assert semiopen_count_direct([(1, 0), (1, 2)]) == 2
+    # more columns than rows can never be independent
+    assert semiopen_count_direct([(1,), (2,)]) == 0
+    with pytest.raises(ValueError, match="ragged columns"):
+        semiopen_count_direct([(1, 0), (1,)])
+    # the box of 2001^2 points is over the limit
+    assert 2001 ** 2 > SEMIOPEN_DIRECT_MAX
+    with pytest.raises(ValueError, match="bounding box exceeds"):
+        semiopen_count_direct([(2000, 0), (0, 2000)])
 
 
 def test_semiopen_direct_worked_matrices():
-    for m, expected in WORKED_MATRICES:
-        assert semiopen_count_direct(m) == expected
+    for columns, expected in WORKED_MATRICES:
+        assert semiopen_count_direct(columns) == expected
 
 
 def test_semiopen_direct_matches_minor_gcd_random():
@@ -54,10 +61,8 @@ def test_semiopen_direct_matches_minor_gcd_random():
     for _ in range(60):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, min(rows, 3))
-        m = IntMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        )
-        assert semiopen_count_direct(m) == semiopen_lattice_count(m)
+        columns = list(zip(*[[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]))
+        assert semiopen_count_direct(columns) == semiopen_lattice_count(columns)
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,8 +79,8 @@ def test_semiopen_direct_matches_minor_gcd_random():
 )
 def test_semiopen_direct_matches_minor_gcd(rows):
     # dependent columns (count 0) come up too
-    m = IntMatrix.from_rows(rows)
-    assert semiopen_count_direct(m) == semiopen_lattice_count(m)
+    columns = list(zip(*rows))
+    assert semiopen_count_direct(columns) == semiopen_lattice_count(columns)
 
 
 def test_semiopen_direct_matches_sharp_formula():
