@@ -18,6 +18,7 @@ _EXPORTS = {
     "forests": (
         "DecoratedForest",
         "LabeledForest",
+        "NormalizedVolume",
         "PartialDecoratedForest",
         "abel_eval",
         "enumerate_decorated_forests",
@@ -48,7 +49,6 @@ _EXPORTS = {
         "validate",
     ),
     "zonotope": (
-        "NormalizedVolume",
         "lattice_count_bruteforce",
         "lattice_count_closed_form",
         "permutohedron_lattice_count",

@@ -11,27 +11,19 @@ rendering.  Exit codes: 0 success, 2 invalid input, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .zonotope import NormalizedVolume
+from .forests import NormalizedVolume, _Value
 
-# Each runner imports the modules it calls, so a command loads only those.
+# Each runner imports the modules it calls, so a command loads only those
+# (every route runs `forests`); `json` is imported by the JSON branches.
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    quantity: str
-    coeff: Fraction
-    radicand: int
-    method: str
-    n: int
+class ResultRecord(_Value):
+    __slots__ = _fields = ("quantity", "coeff", "radicand", "method", "n")
 
     def to_dict(self) -> dict:
         return {
@@ -188,6 +180,8 @@ def _run_forests(args) -> list[ResultRecord]:
 def _render(records: list[ResultRecord], fmt: str) -> str:
     try:
         if fmt == "json":
+            import json
+
             payload = [r.to_dict() for r in records]
             return json.dumps(payload[0] if len(payload) == 1 else payload)
         return "\n".join(r.to_text() for r in records)
@@ -203,6 +197,8 @@ def _run_verify(args) -> int:
     results = verification.run_all(args.n_max, jobs=args.jobs)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
+        import json
+
         print(json.dumps([{"check": r.name, "passed": r.passed, "detail": r.detail} for r in results]))
     else:
         for r in results:

@@ -1,18 +1,89 @@
 """Labeled trees and forests on [n]: enumeration, counting, decorations.
 
 Everything here is exact integer/rational combinatorics; enumeration orders
-are deterministic so downstream output is reproducible.
+are deterministic so downstream output is reproducible.  Every route imports
+this module, so the immutable-value base of the result types and
+NormalizedVolume (the exact c / sqrt(n) of every volume route) live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
+
+
+class _Value:
+    """Immutable value with dataclass-style equality, hash and repr over the
+    slots named in _fields (a subclass sets __slots__ and _fields).  The
+    default constructor stores its arguments in slot order; validating
+    constructors store through _set.  Pickle and copy rebuild through the
+    constructor, called with the fields in order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} values, got {len(values)}")
+        self._set(*values)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """An instance holding `values` in slot order, not validated."""
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class NormalizedVolume(_Value):
+    """Exact value coeff / sqrt(radicand)."""
+
+    __slots__ = _fields = ("coeff", "radicand")
+
+    def __init__(self, coeff: int | Fraction, radicand: int):
+        if radicand < 1:
+            raise ValueError("radicand must be a positive integer")
+        self._set(Fraction(coeff), radicand)
+
+    def approx(self) -> float:
+        return float(self.coeff) / math.sqrt(self.radicand)
+
+    def __str__(self) -> str:
+        if self.radicand == 1:
+            return str(self.coeff)
+        return f"{self.coeff}/sqrt({self.radicand})"
 
 
 def _normalize_edges(n: int, edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
@@ -49,22 +120,18 @@ def components_of(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[froze
     return tuple(frozenset(groups[r]) for r in sorted(groups))
 
 
-@dataclass(frozen=True)
-class LabeledForest:
+class LabeledForest(_Value):
     """Acyclic graph on vertices 1..vertex_count with canonically sorted edges."""
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
-    _components: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertex_count", "edges", "_components")
+    _fields = __slots__[:2]
 
     def __init__(self, vertex_count: int, edges: Iterable[Iterable[int]] = ()):
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
         normalized = _normalize_edges(vertex_count, edges)
         components = components_of(range(1, vertex_count + 1), normalized)  # raises on a cycle
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", normalized)
-        object.__setattr__(self, "_components", components)
+        self._set(vertex_count, normalized, components)
 
     @property
     def vertices(self) -> range:
@@ -79,10 +146,6 @@ class LabeledForest:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def component_count(self) -> int:
-        return self.vertex_count - len(self.edges)
-
 
 def _check_marks(forest: LabeledForest, marked: frozenset[int]) -> tuple[frozenset[int], ...]:
     n = forest.vertex_count
@@ -95,13 +158,11 @@ def _check_marks(forest: LabeledForest, marked: frozenset[int]) -> tuple[frozens
     return comps
 
 
-@dataclass(frozen=True)
-class DecoratedForest:
+class DecoratedForest(_Value):
     """Forest plus marks with |edges| + |marks| = n - 1 and at most one mark
     per component; exactly one component (the free tree) is then unmarked."""
 
-    forest: LabeledForest
-    marked: frozenset[int]
+    __slots__ = _fields = ("forest", "marked")
 
     def __init__(self, forest: LabeledForest, marked: Iterable[int] = ()):
         marked = frozenset(marked)
@@ -112,8 +173,7 @@ class DecoratedForest:
         free = [c for c in comps if not (c & marked)]
         if len(free) != 1:
             raise ValueError("expected exactly one unmarked component")
-        object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "marked", marked)
+        self._set(forest, marked)
 
     @property
     def mark_count(self) -> int:
@@ -131,13 +191,11 @@ class DecoratedForest:
         return len(self.free_tree_vertices)
 
 
-@dataclass(frozen=True)
-class PartialDecoratedForest:
+class PartialDecoratedForest(_Value):
     """Forest plus marks with |edges| + |marks| <= n - 1 and at most one mark
     per component; at least one component is unmarked."""
 
-    forest: LabeledForest
-    marked: frozenset[int]
+    __slots__ = _fields = ("forest", "marked")
 
     def __init__(self, forest: LabeledForest, marked: Iterable[int] = ()):
         marked = frozenset(marked)
@@ -145,8 +203,7 @@ class PartialDecoratedForest:
         n = forest.vertex_count
         if forest.edge_count + len(marked) > n - 1:
             raise ValueError("need |edges| + |marks| <= n - 1")
-        object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "marked", marked)
+        self._set(forest, marked)
 
     @property
     def mark_count(self) -> int:
@@ -228,8 +285,17 @@ def enumerate_trees(vertex_count: int) -> Iterator[LabeledForest]:
     """All labeled trees on 1..vertex_count (Cayley: vertex_count^(vertex_count-2))."""
     if vertex_count < 1:
         raise ValueError("vertex_count must be positive")
+    whole = (frozenset(range(1, vertex_count + 1)),)
     for edges in trees_on(range(1, vertex_count + 1)):
-        yield LabeledForest(vertex_count, edges)
+        yield _forest_of(vertex_count, whole, (edges,))
+
+
+def _forest_of(n: int, components: tuple[frozenset[int], ...], trees: Iterable) -> LabeledForest:
+    """The forest on [n] made of one spanning tree per component, the
+    components being the blocks of a set partition of [n] in order of least
+    vertex.  The enumerators build from their own blocks, so nothing is
+    re-validated."""
+    return LabeledForest._unchecked(n, tuple(sorted(chain.from_iterable(trees))), components)
 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -348,13 +414,14 @@ def enumerate_decorated_forests(n: int) -> Iterator[DecoratedForest]:
     if n < 1:
         raise ValueError("n must be positive")
     for blocks in set_partitions(range(1, n + 1)):
-        block_trees = [list(trees_on(b)) for b in blocks]
+        components = tuple(map(frozenset, blocks))
+        forests = [_forest_of(n, components, combo) for combo in product(*map(trees_on, blocks))]
         for free_idx in range(len(blocks)):
             root_spaces = [b for j, b in enumerate(blocks) if j != free_idx]
             for roots in product(*root_spaces):
-                for combo in product(*block_trees):
-                    edges = tuple(chain.from_iterable(combo))
-                    yield DecoratedForest(LabeledForest(n, edges), roots)
+                marked = frozenset(roots)
+                for forest in forests:
+                    yield DecoratedForest._unchecked(forest, marked)
 
 
 def enumerate_partial_decorated_forests(n: int) -> Iterator[PartialDecoratedForest]:
@@ -369,14 +436,13 @@ def enumerate_partial_decorated_forests(n: int) -> Iterator[PartialDecoratedFore
         raise ValueError("n must be positive")
     for blocks in set_partitions(range(1, n + 1)):
         c = len(blocks)
-        block_trees = [list(trees_on(b)) for b in blocks]
-        for combo in product(*block_trees):
-            edges = tuple(chain.from_iterable(combo))
-            forest = LabeledForest(n, edges)
+        components = tuple(map(frozenset, blocks))
+        for combo in product(*map(trees_on, blocks)):
+            forest = _forest_of(n, components, combo)
             for size in range(c):
                 for marked_blocks in combinations(range(c), size):
                     for roots in product(*(blocks[j] for j in marked_blocks)):
-                        yield PartialDecoratedForest(forest, roots)
+                        yield PartialDecoratedForest._unchecked(forest, frozenset(roots))
 
 
 def reduce_decorated_forest(forest: PartialDecoratedForest | DecoratedForest):

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .forests import enumerate_decorated_forests, set_partitions
-from .zonotope import NormalizedVolume
+from .forests import NormalizedVolume, _Value, enumerate_decorated_forests, set_partitions
 
 
 class LinkageError(ValueError):
@@ -68,13 +66,12 @@ def _reaches(ints: Sequence[int], target: int) -> bool:
     return target in sums
 
 
-@dataclass(frozen=True)
-class LinkageSpec:
+class LinkageSpec(_Value):
     """Validated bar lengths; construction raises a LinkageError subclass on
     non-positive lengths, a longest bar out of place, a vanishing signed sum
     (wall), or a violated triangle inequality, in that order."""
 
-    lengths: tuple[Fraction, ...]
+    __slots__ = _fields = ("lengths",)
 
     def __init__(self, lengths: Iterable):
         lengths = tuple(_as_fraction(x) for x in lengths)
@@ -90,7 +87,7 @@ class LinkageSpec:
             raise WallHitError("a subset of bars sums to half the perimeter")
         if 2 * ints[-1] >= total:
             raise TriangleViolationError("longest bar is at least half the perimeter")
-        object.__setattr__(self, "lengths", lengths)
+        self._set(lengths)
 
     @property
     def bar_count(self) -> int:
@@ -122,19 +119,19 @@ def is_short(spec: LinkageSpec, subset: Iterable[int]) -> bool:
     return sum(spec.lengths[i - 1] for i in subset) < spec.half_perimeter
 
 
-@dataclass(frozen=True)
-class ShortSetProfile:
+class ShortSetProfile(_Value):
     """a[k] = number of k-subsets S of the first n bars with S + {last bar}
     short."""
 
-    a: tuple[int, ...]
+    __slots__ = _fields = ("a",)
 
-    def __post_init__(self):
-        if not self.a or self.a[0] != 1:
+    def __init__(self, a: tuple[int, ...]):
+        if not a or a[0] != 1:
             raise ValueError("a[0] must be 1: the longest bar alone is short")
-        n = len(self.a) - 1
-        if any(not 0 <= self.a[k] <= math.comb(n, k) for k in range(n + 1)):
+        n = len(a) - 1
+        if any(not 0 <= a[k] <= math.comb(n, k) for k in range(n + 1)):
             raise ValueError("a[k] must lie between 0 and C(n,k)")
+        self._set(a)
 
     @property
     def n(self) -> int:
@@ -228,12 +225,11 @@ def _betti_of(prof: ShortSetProfile, k: int) -> int:
 # --- the cell complex ---
 
 
-@dataclass(frozen=True)
-class CyclicPartition:
+class CyclicPartition(_Value):
     """Cyclically ordered partition; stored rotated so the block containing
     the largest ground element comes last."""
 
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
         blocks = tuple(frozenset(b) for b in blocks)
@@ -246,8 +242,7 @@ class CyclicPartition:
             ground |= b
         top = max(ground)
         at = next(i for i, b in enumerate(blocks) if top in b)
-        rotated = blocks[at + 1:] + blocks[:at + 1]
-        object.__setattr__(self, "blocks", rotated)
+        self._set(blocks[at + 1:] + blocks[:at + 1])
 
     @property
     def ground_set(self) -> frozenset[int]:
@@ -368,8 +363,7 @@ def euler_characteristic(spec: LinkageSpec) -> int:
 # --- equilateral comparison ---
 
 
-@dataclass(frozen=True)
-class EquilateralVolumeComparison:
+class EquilateralVolumeComparison(_Value):
     """Volume of the equilateral (2m+1)-bar linkage by three routes.
 
     `binomial_display` evaluates the closed-form candidate
@@ -377,10 +371,7 @@ class EquilateralVolumeComparison:
     the short-set-profile theorem (and the forest route) already at m = 2,
     so both are carried along with an agreement flag."""
 
-    binomial_display: NormalizedVolume
-    theorem: NormalizedVolume
-    forest: NormalizedVolume | None
-    agree: bool
+    __slots__ = _fields = ("binomial_display", "theorem", "forest", "agree")
 
 
 def equilateral_volume(m: int) -> EquilateralVolumeComparison:

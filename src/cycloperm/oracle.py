@@ -14,7 +14,7 @@ from itertools import combinations, permutations, product
 from operator import mul
 from typing import Sequence
 
-from .zonotope import NormalizedVolume
+from .forests import NormalizedVolume
 
 # Largest n that permutohedron_lattice_points_direct scans (n^n points).
 PERMUTOHEDRON_DIRECT_MAX = 5

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
@@ -23,11 +22,8 @@ def _require(cond: bool, msg: str = "") -> None:
         raise AssertionError(msg)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(forests._Value):
+    __slots__ = _fields = ("name", "passed", "detail")
 
 
 def _check_prufer_roundtrip(n_max: int, jobs: int) -> str:

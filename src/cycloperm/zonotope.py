@@ -19,39 +19,18 @@ exact rational c and the radicand n travel together in NormalizedVolume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .forests import (
     DecoratedForest,
+    NormalizedVolume,
     PartialDecoratedForest,
     abel_eval,
     forest_count,
     forest_gcd_sum,
 )
-
-
-@dataclass(frozen=True)
-class NormalizedVolume:
-    """Exact value coeff / sqrt(radicand)."""
-
-    coeff: Fraction
-    radicand: int
-
-    def __post_init__(self):
-        if self.radicand < 1:
-            raise ValueError("radicand must be a positive integer")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-
-    def approx(self) -> float:
-        return float(self.coeff) / math.sqrt(self.radicand)
-
-    def __str__(self) -> str:
-        if self.radicand == 1:
-            return str(self.coeff)
-        return f"{self.coeff}/sqrt({self.radicand})"
 
 
 def edge_vector(n: int, i: int, j: int) -> tuple[int, ...]:

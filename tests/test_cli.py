@@ -397,21 +397,44 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 _LAZY_PROBE = """
 import sys
 
+before = set(sys.modules)
+
+
 def loaded():
     return {m for m in sys.modules if m.startswith("cycloperm.")}
+
+
+def new(*names):
+    return {m for m in names if m in sys.modules and m not in before}
+
 
 import cycloperm
 assert loaded() == set(), loaded()
 import contextlib, io
 import cycloperm.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cycloperm.cli.run(["forests", "phi", "--n", "5"]) == 0
-unused = {"cycloperm." + m for m in ("verification", "oracle", "linkage", "intlin")}
-assert not loaded() & unused, loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cycloperm.cli.run(["cyclo", "points", "--n", "4"]) == 0
-    assert cycloperm.cli.run(["linkage", "volume", "--lengths", "1,1,1,1,1"]) == 0
-assert not loaded() & {"cycloperm.intlin", "cycloperm.oracle"}, loaded()
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cycloperm.cli.run(list(argv)) == 0, argv
+    assert not new("dataclasses", "inspect"), (argv, new("dataclasses", "inspect"))
+
+
+run("forests", "phi", "--n", "5")
+run("forests", "abel", "--n", "3", "--a", "-1", "--x", "1/2")
+assert loaded() == {"cycloperm.cli", "cycloperm.forests"}, loaded()
+for sub in ("volume", "betti", "cells"):
+    run("linkage", sub, "--lengths", "1.2,1,1,0.8,2.2")
+assert loaded() == {"cycloperm.cli", "cycloperm.forests", "cycloperm.linkage"}, loaded()
+run("cyclo", "volume", "--n", "2", "--method", "brute")
+run("cyclo", "volume", "--n", "4")
+run("cyclo", "points", "--n", "4")
+run("perm", "volume", "--n", "3")
+run("perm", "points", "--n", "5")
+assert not loaded() & {"cycloperm.intlin", "cycloperm.oracle", "cycloperm.verification"}, loaded()
+run("verify", "--n-max", "2")
+assert not new("json"), "a text-format run loaded json"
+run("linkage", "betti", "--lengths", "1,1,1,1,3.5", "--format", "json")
 namespace = {}
 exec("from cycloperm import *", namespace)
 missing = [name for name in cycloperm.__all__ if name not in namespace]

@@ -150,7 +150,7 @@ def test_enumerate_trees_cayley():
         assert len(trees) == (n ** (n - 2) if n >= 2 else 1)
         assert len(set(t.edges for t in trees)) == len(trees)
         for t in trees:
-            assert t.component_count == 1
+            assert len(t.components()) == 1
     with pytest.raises(ValueError):
         list(enumerate_trees(0))
 
@@ -192,7 +192,7 @@ def test_prufer_roundtrip():
 def test_labeled_forest_validation():
     f = LabeledForest(3, [(2, 1)])
     assert f.edges == ((1, 2),)
-    assert f.component_count == 2
+    assert len(f.components()) == 2
     assert components_of(f.vertices, f.edges) == (frozenset({1, 2}), frozenset({3}))
     assert LabeledForest(2, [(1, 2), (2, 1)]).edges == ((1, 2),)  # set semantics
     with pytest.raises(ValueError):
@@ -389,6 +389,48 @@ def test_every_decorated_forest_is_partial():
         partial = _brute_partial(n)
         for d in enumerate_decorated_forests(n):
             assert (d.forest.edges, d.marked) in partial
+
+
+def _validated_decorated(n: int):
+    """enumerate_decorated_forests(n) in the same order, every object built
+    through the validating constructors."""
+    for blocks in set_partitions(range(1, n + 1)):
+        for free_idx in range(len(blocks)):
+            for roots in product(*(b for j, b in enumerate(blocks) if j != free_idx)):
+                for combo in product(*map(trees_on, blocks)):
+                    yield DecoratedForest(LabeledForest(n, [e for tree in combo for e in tree]), roots)
+
+
+def _validated_partial(n: int):
+    """enumerate_partial_decorated_forests(n) in the same order, through the
+    validating constructors."""
+    for blocks in set_partitions(range(1, n + 1)):
+        for combo in product(*map(trees_on, blocks)):
+            forest = LabeledForest(n, [e for tree in combo for e in tree])
+            for size in range(len(blocks)):
+                for marked_blocks in combinations(blocks, size):
+                    for roots in product(*marked_blocks):
+                        yield PartialDecoratedForest(forest, roots)
+
+
+def test_enumerators_build_what_the_constructors_validate():
+    counts = []
+    for n in range(1, 7):
+        got, want = list(enumerate_decorated_forests(n)), list(_validated_decorated(n))
+        counts.append(len(got))
+        assert got == want
+        assert [d.forest.components() for d in got] == [d.forest.components() for d in want]
+        assert [d.free_tree_vertices for d in got] == [d.free_tree_vertices for d in want]
+    assert counts == [1, 3, 15, 110, 1080, 13377]
+    for n in range(1, 6):
+        got, want = list(enumerate_partial_decorated_forests(n)), list(_validated_partial(n))
+        assert got == want
+        assert [p.forest.components() for p in got] == [p.forest.components() for p in want]
+        assert [p.free_components() for p in got] == [p.free_components() for p in want]
+    for n in range(1, 7):
+        trees = list(enumerate_trees(n))
+        assert trees == [LabeledForest(n, t.edges) for t in trees]
+        assert all(t.components() == (frozenset(range(1, n + 1)),) for t in trees)
 
 
 # --- reduction ---
