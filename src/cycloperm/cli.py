@@ -64,6 +64,14 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
 # verify --n-max; n = 300 takes under a second cold.
 CLOSED_N_MAX = 300
 
+# Largest bound on the steps of the subset-sum table behind every linkage
+# command (linkage._table_bound) that the CLI accepts.  Near the cap, at
+# 2.8 million steps (24 bars of 1 + 1/p over odd primes p, last bar 4),
+# validation, profile and f-vector took 1.0-1.4 s and 173 MB on a 2-core
+# machine; each further pairwise-coprime bar doubles that.
+_LINKAGE_TABLE_CAP = 3_000_000
+
+
 def _digit_limit() -> int:
     """Python's limit on the digits of an int-str conversion; 0 for none
     (Python 3.10 has no limit)."""
@@ -139,7 +147,14 @@ def _run_perm(args) -> list[ResultRecord]:
 def _run_linkage(args) -> list[ResultRecord]:
     from . import linkage as linkage_mod
 
-    spec = linkage_mod.validate(parse_lengths(args.lengths))
+    lengths = parse_lengths(args.lengths)
+    bound = linkage_mod._table_bound(linkage_mod._integer_lengths(lengths), _LINKAGE_TABLE_CAP)
+    if bound > _LINKAGE_TABLE_CAP:
+        raise ValueError(
+            f"the subset-sum table of these lengths may take more than {_LINKAGE_TABLE_CAP} steps, "
+            "the cap of the linkage commands; use fewer bars or fewer distinct denominators"
+        )
+    spec = linkage_mod.validate(lengths)
     n = spec.n
     if args.sub == "volume":
         method = args.method or "theorem"

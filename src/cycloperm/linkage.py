@@ -6,12 +6,14 @@ the complex of cyclically ordered partitions of the bars into short blocks;
 volumes, Betti numbers, and face counts all reduce to the short-set profile
 a_k = #{k-subsets S of [n] with S + {n+1} short}.
 
-The wall check and one (size, sum) table are dynamic programs over subset
-sums of the lengths scaled to integers over their common denominator.  The
-table gives the profile and the short-set counts, and the f-vector follows
-from those counts and Stirling numbers, since a partition of the bars has at
-most one long block.  The set-partition enumeration stays as the cell
-enumerator.
+One table per linkage, built at validation: the (size, sum) table over the
+first n bars, scaled to integers over their common denominator, up to half
+of room = sum(first n) - last.  It gives the wall check and the profile,
+which the spec keeps.  The Betti numbers and the volume read the profile,
+and so does the f-vector: a set of bars is short iff its complement is
+long, and a partition of the bars has at most one long block, so the
+f-vector follows from the profile and Stirling numbers.  The set-partition
+enumeration stays as the cell enumerator.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .forests import NormalizedVolume, _Value, enumerate_decorated_forests, set_partitions
@@ -57,37 +59,83 @@ def _integer_lengths(lengths: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in lengths]
 
 
-def _reaches(ints: Sequence[int], target: int) -> bool:
-    """Whether some subset of `ints` (all positive) sums to `target`; only
-    sums up to the target are kept."""
-    sums = {0}
-    for x in ints:
-        sums |= {s + x for s in sums if s + x <= target}
-    return target in sums
+def _subset_sums(ints: Sequence[int], room: int) -> list[dict[int, int]]:
+    """ways[k][s] = number of k-subsets of `ints` (all positive) with sum s,
+    kept only while 2 s <= room, since adding an element never lowers a sum
+    (ways[0] is {0: 1} whatever the room).  The largest elements go first:
+    sums then pass room / 2 sooner, and mixed lengths take about half the
+    steps that ascending order does."""
+    half = room // 2
+    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in ints]
+    for i, x in enumerate(sorted(ints, reverse=True)):
+        limit = half - x
+        if limit < 0:
+            continue
+        # a kept k-sum adds k elements no smaller than x, so k x <= limit
+        for k in range(min(i, limit // x), -1, -1):
+            grown = ways[k + 1]
+            for s, c in ways[k].items():
+                if s <= limit:
+                    grown[s + x] = grown.get(s + x, 0) + c
+    return ways
+
+
+def _table_bound(ints: Sequence[int], cap: int) -> int:
+    """An upper bound on the steps of the table loop over the first n of
+    these scaled lengths (longest last): one per bar i and size k <= i, plus
+    one per kept sum of the k-subsets of the i bars taken before it.  Those
+    number at most C(i, k), and lie between the sum of the k smallest of
+    these i bars and the smaller of the sum of the k largest and room / 2.
+    Counting stops once the bound exceeds `cap`."""
+    *rest, last = ints
+    n = len(rest)
+    if n * (n + 1) // 2 > cap:  # the steps alone
+        return n * (n + 1) // 2
+    half = (sum(rest) - last) // 2
+    top = list(accumulate(sorted(rest, reverse=True), initial=0))  # top[k]: the k largest
+    bound = 0
+    row = [1]  # C(i, 0..i), saturated above cap
+    for i in range(n):
+        # top[i] - top[i - k]: the k smallest of the i largest bars
+        widths = (max(0, min(top[k], half) - top[i] + top[i - k] + 1) for k in range(i + 1))
+        bound += sum(1 + min(c, w) for c, w in zip(row, widths))
+        if bound > cap:
+            break
+        row = [1] + [min(a + b, cap + 1) for a, b in zip(row, row[1:])] + [1]
+    return bound
 
 
 class LinkageSpec(_Value):
     """Validated bar lengths; construction raises a LinkageError subclass on
     non-positive lengths, a longest bar out of place, a vanishing signed sum
-    (wall), or a violated triangle inequality, in that order."""
+    (wall), or a violated triangle inequality, in that order.  It builds the
+    (size, sum) table once and keeps the short-set profile in a slot outside
+    equality, hash and repr; pickle and copy rebuild it."""
 
-    __slots__ = _fields = ("lengths",)
+    __slots__ = ("lengths", "_profile")
+    _fields = __slots__[:1]
 
     def __init__(self, lengths: Iterable):
         lengths = tuple(_as_fraction(x) for x in lengths)
         if not lengths:
             raise LinkageError("need at least one bar")
-        if any(x <= 0 for x in lengths):
-            raise NonPositiveLengthError("bar lengths must be positive")
-        if max(lengths) != lengths[-1]:
-            raise LongestNotLastError("longest bar must be listed last")
         ints = _integer_lengths(lengths)
-        total = sum(ints)
-        if total % 2 == 0 and _reaches(ints, total // 2):
+        if min(ints) <= 0:
+            raise NonPositiveLengthError("bar lengths must be positive")
+        *rest, last = ints
+        if max(ints) != last:
+            raise LongestNotLastError("longest bar must be listed last")
+        room = sum(rest) - last
+        ways = _subset_sums(rest, room)
+        # of a subset summing to half the perimeter and its complement, one
+        # holds the last bar, and its other bars sum to room / 2
+        if room % 2 == 0 and any(room // 2 in w for w in ways):
             raise WallHitError("a subset of bars sums to half the perimeter")
-        if 2 * ints[-1] >= total:
+        if room <= 0:
             raise TriangleViolationError("longest bar is at least half the perimeter")
-        self._set(lengths)
+        # no sum is room / 2 now, so every kept S has S + {last} short; the
+        # counts are a profile by construction
+        self._set(lengths, ShortSetProfile._unchecked(tuple(sum(w.values()) for w in ways)))
 
     @property
     def bar_count(self) -> int:
@@ -144,25 +192,10 @@ class ShortSetProfile(_Value):
         return 0
 
 
-def _subset_sums(ints: Sequence[int], bound: int) -> list[dict[int, int]]:
-    """ways[k][s] = number of k-subsets of `ints` (all positive) with sum s,
-    kept only while 2 s < bound, since adding an element never lowers a sum."""
-    ways: list[dict[int, int]] = [{0: 1}] + [{} for _ in ints]
-    for i, x in enumerate(ints):
-        for k in range(i, -1, -1):
-            grown = ways[k + 1]
-            for s, c in ways[k].items():
-                if 2 * (s + x) < bound:
-                    grown[s + x] = grown.get(s + x, 0) + c
-    return ways
-
-
 def a_profile(spec: LinkageSpec) -> ShortSetProfile:
-    """The profile by a (size, sum) table over the first n bars: S + {last}
+    """The profile, read off the (size, sum) table at validation: S + {last}
     is short iff 2 sum(S) < sum(first n) - last."""
-    *rest, last = _integer_lengths(spec.lengths)
-    ways = _subset_sums(rest, sum(rest) - last)
-    return ShortSetProfile(tuple(sum(w.values()) for w in ways))
+    return spec._profile
 
 
 # --- volumes ---
@@ -173,7 +206,7 @@ def moduli_volume_theorem(spec: LinkageSpec) -> NormalizedVolume:
     n = spec.n
     if n < 2:
         raise LinkageError("need at least three bars")
-    prof = a_profile(spec)
+    prof = spec._profile
     s = sum((-1) ** k * prof.a[k] * (n - k) ** (n - 2) for k in range(n + 1))
     return NormalizedVolume(Fraction(n * s), n)
 
@@ -210,11 +243,11 @@ def betti(spec: LinkageSpec, k: int) -> int:
     n = spec.n
     if not 0 <= k <= n - 2:
         raise ValueError(f"k must lie in 0..{n - 2}")
-    return _betti_of(a_profile(spec), k)
+    return _betti_of(spec._profile, k)
 
 
 def betti_vector(spec: LinkageSpec) -> tuple[int, ...]:
-    prof = a_profile(spec)
+    prof = spec._profile
     return tuple(_betti_of(prof, k) for k in range(spec.n - 1))
 
 
@@ -337,17 +370,14 @@ def f_vector(spec: LinkageSpec) -> tuple[int, ...]:
     sums to half of it, so a partition that is not all short has exactly one
     long block, and the others lie in its short complement.  With l_j long
     j-sets, the all-short partitions number P_m = S(B, m) - sum_j l_j
-    S(B-j, m-1).  Of the short j-sets, those without the last bar come from
-    the (size, sum) table over the first n bars at the perimeter bound, and
-    those with it are a_{j-1}, the same table at the bound of a_profile."""
+    S(B-j, m-1).  Of the long j-sets, C(n, j-1) - a_{j-1} hold the last bar.
+    One without it is long iff its complement, an (n+1-j)-set with the last
+    bar, is short, and a_{n-j} of those are.  So the long j-sets number
+    l_j = C(n, j-1) + a_{n-j} - a_{j-1}, and the short ones s_j = C(n, j) -
+    a_{n-j} + a_{j-1}."""
     n = spec.n
-    *rest, last = _integer_lengths(spec.lengths)
-    room = sum(rest) - last
-    ways = _subset_sums(rest, sum(rest) + last)
-    short = [sum(w.values()) for w in ways] + [0]
-    for j, w in enumerate(ways, 1):
-        short[j] += sum(c for s, c in w.items() if 2 * s < room)
-    longs = [math.comb(n + 1, j) - x for j, x in enumerate(short)]
+    a = spec._profile.of
+    longs = [0] + [math.comb(n, j - 1) + a(n - j) - a(j - 1) for j in range(1, n + 2)]
     stirling = _stirling_rows(n + 1)
     return tuple(  # S(B-j, m-1) vanishes for j > B-m+1
         (stirling[n + 1][m] - sum(longs[j] * stirling[n + 1 - j][m - 1] for j in range(1, n + 3 - m)))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -280,6 +281,21 @@ def test_linkage_cells_uncapped(capsys):
         assert int(records[-1]["coeff"]) == sum((-1) ** k * x for k, x in enumerate(betti))
     code, out, _ = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 13)])
     assert out.splitlines()[-1] == "linkage.euler n=12 method=cell-complex coeff=-924 radicand=1 approx=-924"
+
+
+def test_linkage_table_budget_refuses_before_validation(capsys, monkeypatch):
+    # 25 bars 1 + 1/p over the odd primes p up to 101 and a last bar 5/2:
+    # pairwise-coprime denominators, so about 2^25 distinct subset sums
+    primes = [p for p in range(3, 102, 2) if all(p % q for q in range(3, p, 2))]
+    text = ",".join(str(1 + Fraction(1, p)) for p in primes) + ",5/2"
+    assert len(primes) == 25
+    monkeypatch.setattr(linkage, "validate", lambda lengths: pytest.fail("validation started"))
+    for sub in ("volume", "betti", "aprofile", "cells"):
+        start = time.perf_counter()
+        code, out, err = _capture(capsys, ["linkage", sub, "--lengths", text])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "may take more than 3000000 steps, the cap of the linkage commands" in err
 
 
 def test_forests_commands(capsys):

@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycloperm import linkage
 from cycloperm.linkage import (
     CyclicPartition,
     LinkageError,
@@ -43,16 +45,19 @@ SPHERE = validate((1, 1, 1, 1, "3.5"))
 
 
 def test_validation_errors():
+    # where two checks fail, the first in the documented order wins
     with pytest.raises(NonPositiveLengthError):
         validate((0, 1, 1))
     with pytest.raises(NonPositiveLengthError):
+        validate((0, 3, 2))  # also out of order
+    with pytest.raises(NonPositiveLengthError):
         validate((-1, 5, 2))
     with pytest.raises(LongestNotLastError):
-        validate((1, 3, 2))
+        validate((1, 3, 2))  # also a wall: 1 + 2 = 3
     with pytest.raises(WallHitError):
-        validate((1, 1, 2))
+        validate((1, 1, 2))  # room = 0, so also a triangle violation
     with pytest.raises(TriangleViolationError):
-        validate((2, 1, 1, 5))
+        validate((2, 1, 1, 5))  # room < 0
     with pytest.raises(TriangleViolationError):
         validate((1, 2, 9))
     with pytest.raises(LinkageError):
@@ -132,6 +137,40 @@ def test_f_vector_beyond_enumeration(pairs):
     b = betti_vector(spec)
     assert sum((-1) ** k * x for k, x in enumerate(f)) == sum((-1) ** k * x for k, x in enumerate(b))
     assert all(x >= 0 and x % math.factorial(spec.n - k) == 0 for k, x in enumerate(f))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)), min_size=3, max_size=10))
+def test_short_sets_by_the_complement_identity(pairs):
+    # s_j = C(n, j) - a_{n-j} + a_{j-1} short j-subsets of all n + 1 bars
+    try:
+        spec = validate(sorted(Fraction(v, d) for v, d in pairs))
+    except LinkageError:
+        return
+    n, a = spec.n, a_profile(spec).of
+    ints = [int(12 * x) for x in spec.lengths]  # 12 is a multiple of every denominator
+    total = sum(ints)
+    for j in range(n + 2):
+        short = sum(1 for sub in combinations(ints, j) if 2 * sum(sub) < total)
+        assert short == math.comb(n, j) - a(n - j) + a(j - 1)
+
+
+def test_table_built_once_at_validation(monkeypatch):
+    calls = []
+    table = linkage._subset_sums
+    monkeypatch.setattr(linkage, "_subset_sums", lambda *args: calls.append(args) or table(*args))
+    mixed = [Fraction(v, 8) for v in range(20, 32)] + [Fraction(33, 8)]
+    for lengths in (("1.2", 1, 1, "0.8", "2.2"), (1,) * 13, mixed):
+        calls.clear()
+        spec = validate(lengths)
+        assert len(calls) == 1
+        a_profile(spec)
+        betti(spec, 0)
+        betti_vector(spec)
+        moduli_volume_theorem(spec)
+        f_vector(spec)
+        euler_characteristic(spec)
+        assert len(calls) == 1
 
 
 def test_short_set_profile_validation():

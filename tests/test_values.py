@@ -108,6 +108,18 @@ def test_stored_components_stay_out_of_equality_and_survive_copies():
         assert g.components() == f.components() == (frozenset({1, 2}), frozenset({3, 4}))
 
 
+def test_stored_profile_stays_out_of_equality_and_is_rebuilt_by_copies():
+    spec = LinkageSpec((Fraction(3, 2), 1, 1, 2))
+    assert "_profile" not in repr(spec)
+    other = LinkageSpec._unchecked(spec.lengths, ShortSetProfile((1, 3, 3, 1)))
+    assert other == spec and hash(other) == hash(spec)
+    with pytest.raises(AttributeError):
+        spec._profile = other._profile
+    for y in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert y._profile is not spec._profile  # rebuilt through the constructor
+        assert linkage.a_profile(y) == linkage.a_profile(spec) == ShortSetProfile((1, 0, 0, 0))
+
+
 def test_normalized_volume_is_one_class():
     assert cycloperm.NormalizedVolume is NormalizedVolume
     assert zonotope.NormalizedVolume is linkage.NormalizedVolume is NormalizedVolume
