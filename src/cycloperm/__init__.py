@@ -26,8 +26,6 @@ _EXPORTS = {
         "enumerate_trees",
         "forest_count",
         "forest_gcd_sum",
-        "reduce_decorated_forest",
-        "rooted_forest_counts",
     ),
     "intlin": ("det_rows", "semiopen_lattice_count"),
     "linkage": (

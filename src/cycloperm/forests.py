@@ -240,33 +240,6 @@ def prufer_decode(labels: Sequence[int], seq: Sequence[int]) -> tuple[Edge, ...]
     return tuple(sorted(edges))
 
 
-def prufer_encode(labels: Sequence[int], edges: Iterable[Edge]) -> tuple[int, ...]:
-    """Pruefer sequence of a tree given as edges on `labels` (inverse of
-    prufer_decode)."""
-    labels = tuple(sorted(labels))
-    v = len(labels)
-    label_set = set(labels)
-    norm = {(min(i, j), max(i, j)) for i, j in edges}
-    if len(norm) != v - 1 or any(i not in label_set or j not in label_set for i, j in norm):
-        raise ValueError("edges do not form a tree on the labels")
-    if len(components_of(labels, tuple(norm))) != 1:
-        raise ValueError("edges do not form a tree on the labels")
-    adj: dict[int, set[int]] = {u: set() for u in labels}
-    for i, j in norm:
-        adj[i].add(j)
-        adj[j].add(i)
-    seq = []
-    remaining = set(labels)
-    while len(remaining) > 2:
-        leaf = min(u for u in remaining if len(adj[u]) == 1)
-        nb = next(iter(adj[leaf]))
-        seq.append(nb)
-        adj[nb].remove(leaf)
-        del adj[leaf]
-        remaining.remove(leaf)
-    return tuple(seq)
-
-
 def trees_on(labels: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
     """All spanning trees on an arbitrary label set, as sorted edge tuples,
     in Pruefer-lexicographic order."""
@@ -381,18 +354,6 @@ def forest_gcd_sum(v: int) -> int:
     return sum(_totient(d) * _forests_divisible(d, v)[v] for d in range(1, v + 1) if v % d == 0)
 
 
-def rooted_forest_counts(n: int) -> dict[int, int]:
-    """{k: t_{n,k}}, the rooted labeled forests on [n] with exactly k trees:
-    t_{n,k} = C(n-1, k-1) * n^(n-k).  The generating identity
-    sum_k t_{n,k} x^k = x (x + n)^(n-1) pins the whole table; for n = 0 the
-    empty forest gives {0: 1}."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return {0: 1}
-    return {k: math.comb(n - 1, k - 1) * n ** (n - k) for k in range(1, n + 1)}
-
-
 def abel_eval(n: int, a: int | Fraction, x: int | Fraction) -> Fraction:
     """Abel polynomial A_{n,a}(x) = x (x - a n)^(n-1), with A_0 = 1."""
     if n < 0:
@@ -444,13 +405,3 @@ def enumerate_partial_decorated_forests(n: int) -> Iterator[PartialDecoratedFore
                     for roots in product(*(blocks[j] for j in marked_blocks)):
                         yield PartialDecoratedForest._unchecked(forest, frozenset(roots))
 
-
-def reduce_decorated_forest(forest: PartialDecoratedForest | DecoratedForest):
-    """Collapse every marked component: drop its edges and mark all of its
-    vertices.  Keeps |edges| + |marks| and the free components unchanged;
-    idempotent.  Returns the same type as the input."""
-    comps = forest.forest.components()
-    new_marked = frozenset(chain.from_iterable(c for c in comps if c & forest.marked))
-    edges = tuple(e for e in forest.forest.edges if e[0] not in new_marked)
-    new_forest = LabeledForest(forest.forest.vertex_count, edges)
-    return type(forest)(new_forest, new_marked)

@@ -81,22 +81,6 @@ def forest_columns(forest: PartialDecoratedForest | DecoratedForest) -> list[tup
     return _columns(n, forest.forest.edges, sorted(forest.marked))
 
 
-def forest_det_matrix(forest: DecoratedForest, marks_as: str = "radial") -> list[tuple[int, ...]]:
-    """The n columns of the square matrix of a decorated forest: edge
-    columns, then one column per mark (the radial vector, or the standard
-    unit vector when marks_as="unit"), then the all-ones column."""
-    n = forest.forest.vertex_count
-    marks = sorted(forest.marked)
-    if marks_as == "radial":
-        cols = _columns(n, forest.forest.edges, marks)
-    elif marks_as == "unit":
-        cols = _columns(n, forest.forest.edges, ())
-        cols += [tuple(int(i == k) for i in range(1, n + 1)) for k in marks]
-    else:
-        raise ValueError("marks_as must be 'radial' or 'unit'")
-    return cols + [ones_vector(n)]
-
-
 def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
     """Lattice points in the semiopen brick of a partial decorated forest:
     n^(|marks| - 1) * gcd(free component sizes), with value 1 when there are

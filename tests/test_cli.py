@@ -298,6 +298,16 @@ def test_linkage_table_budget_refuses_before_validation(capsys, monkeypatch):
         assert "may take more than 3000000 steps, the cap of the linkage commands" in err
 
 
+def test_linkage_cells_bar_cap(capsys, monkeypatch):
+    code, out, _ = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 301)])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("linkage.euler n=300 ")
+    monkeypatch.setattr(linkage, "validate", lambda lengths: pytest.fail("validation started"))
+    code, out, err = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 302)])
+    assert (code, out) == (2, "")
+    assert err == "error: n=301 (bars - 1) exceeds the cap n <= 300 of linkage cells\n"
+
+
 def test_forests_commands(capsys):
     assert _capture(capsys, ["forests", "phi", "--n", "4", "--format", "json"])[1] == (
         '{"quantity": "forests.phi", "coeff": "38", "radicand": 1, "approx": "38", '

@@ -22,9 +22,6 @@ from cycloperm.forests import (
     forest_count,
     forest_gcd_sum,
     prufer_decode,
-    prufer_encode,
-    reduce_decorated_forest,
-    rooted_forest_counts,
     set_partitions,
     trees_on,
 )
@@ -163,27 +160,20 @@ def test_trees_match_bruteforce():
 
 def test_prufer_examples():
     assert prufer_decode((1, 2, 3, 4), (2, 2)) == ((1, 2), (2, 3), (2, 4))
-    assert prufer_encode((1, 2, 3, 4), ((1, 2), (2, 3), (2, 4))) == (2, 2)
     assert prufer_decode((1, 2), ()) == ((1, 2),)
     assert prufer_decode((7,), ()) == ()
     with pytest.raises(ValueError):
         prufer_decode((1, 2, 3), (5,))
-    with pytest.raises(ValueError):
-        prufer_encode((1, 2, 3), ((1, 2),))
 
 
 def test_prufer_roundtrip():
-    for n in range(3, 7):
-        labels = tuple(range(1, n + 1))
-        for seq in product(labels, repeat=n - 2):
-            assert prufer_encode(labels, prufer_decode(labels, seq)) == seq
-    # arbitrary label sets
-    labels = (2, 5, 9, 11)
-    seen = set()
-    for edges in trees_on(labels):
-        assert prufer_decode(labels, prufer_encode(labels, edges)) == edges
-        seen.add(edges)
-    assert len(seen) == 16
+    # the labels^(v-2) sequences decode to as many distinct spanning trees,
+    # so decoding is a bijection onto the trees (Cayley)
+    for labels in [tuple(range(1, n + 1)) for n in range(3, 7)] + [(2, 5, 9, 11)]:
+        trees = [prufer_decode(labels, seq) for seq in product(labels, repeat=len(labels) - 2)]
+        assert len(set(trees)) == len(trees) == len(labels) ** (len(labels) - 2)
+        assert all(components_of(labels, edges) == (frozenset(labels),) for edges in trees)
+        assert list(trees_on(labels)) == trees
 
 
 # --- labeled forests ---
@@ -265,12 +255,11 @@ def test_forest_table_state_cannot_change_an_answer(order):
 # --- rooted forest counts and Abel polynomials ---
 
 
-def test_rooted_forest_count_tables():
-    assert rooted_forest_counts(2) == {1: 2, 2: 1}
-    assert rooted_forest_counts(3) == {1: 9, 2: 6, 3: 1}
-    assert rooted_forest_counts(0) == {0: 1}  # the empty forest has no trees
-    with pytest.raises(ValueError):
-        rooted_forest_counts(-1)
+def _rooted_forest_table(n: int) -> dict[int, int]:
+    # t_{n,k} = C(n-1, k-1) n^(n-k) rooted forests on [n] with k trees
+    if n == 0:
+        return {0: 1}  # the empty forest has no trees
+    return {k: math.comb(n - 1, k - 1) * n ** (n - k) for k in range(1, n + 1)}
 
 
 def test_rooted_forest_counts_match_bruteforce():
@@ -283,13 +272,13 @@ def test_rooted_forest_counts_match_bruteforce():
             for c in comps:
                 rooted *= len(c)
             table[k] = table.get(k, 0) + rooted
-        assert rooted_forest_counts(n) == table
+        assert _rooted_forest_table(n) == table
 
 
 def test_rooted_forest_polynomial_identity():
     # sum_k t_{n,k} x^k = x (x + n)^(n-1)
     for n in range(0, 9):
-        tbl = rooted_forest_counts(n)
+        tbl = _rooted_forest_table(n)
         for x in (-n, -3, -1, 0, 1, 2, Fraction(1, 2)):
             assert sum(t * x ** k for k, t in tbl.items()) == abel_eval(n, -1, x)
 
@@ -432,33 +421,3 @@ def test_enumerators_build_what_the_constructors_validate():
         assert trees == [LabeledForest(n, t.edges) for t in trees]
         assert all(t.components() == (frozenset(range(1, n + 1)),) for t in trees)
 
-
-# --- reduction ---
-
-
-def test_reduce_example():
-    p = PartialDecoratedForest(LabeledForest(5, [(1, 2), (4, 5)]), [4])
-    r = reduce_decorated_forest(p)
-    assert r.forest.edges == ((1, 2),)
-    assert r.marked == frozenset({4, 5})
-    assert isinstance(r, PartialDecoratedForest)
-
-
-def test_reduce_properties():
-    for n in range(1, 5):
-        for p in enumerate_partial_decorated_forests(n):
-            r = reduce_decorated_forest(p)
-            # invariant: |edges| + |marks| preserved, free components unchanged
-            assert len(r.forest.edges) + len(r.marked) == len(p.forest.edges) + len(p.marked)
-            assert r.free_components() == p.free_components()
-            assert all(len(c) == 1 for c in r.forest.components() if c & r.marked)
-            r2 = reduce_decorated_forest(r)
-            assert (r2.forest.edges, r2.marked) == (r.forest.edges, r.marked)
-
-
-def test_reduce_decorated_type_preserved():
-    d = DecoratedForest(LabeledForest(4, [(1, 2), (3, 4)]), [3])
-    r = reduce_decorated_forest(d)
-    assert isinstance(r, DecoratedForest)
-    assert r.marked == frozenset({3, 4})
-    assert r.free_tree_vertices == frozenset({1, 2})

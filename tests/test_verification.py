@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from cycloperm import forests, verification, zonotope
 from cycloperm.verification import _integer_partitions as integer_partitions
 
 
@@ -33,3 +36,39 @@ def test_checks_hold_under_optimize():
         capture_output=True, text=True, check=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
     )
     assert json.loads(proc.stdout) == ["forest-counts"]
+
+
+
+def _last_tree_repeats_first(enumerate_trees):
+    def mutated(n):
+        trees = list(enumerate_trees(n))
+        return iter(trees[:-1] + trees[:1])
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, failing",
+    [
+        pytest.param(
+            forests, "enumerate_trees", _last_tree_repeats_first,
+            ["prufer-roundtrip-cayley", "rooted-forest-tables"], id="duplicated-tree",
+        ),
+        pytest.param(
+            forests, "abel_eval", lambda abel: lambda n, a, x: abel(n, a, x) + 1,
+            ["rooted-forest-tables"], id="abel-off-by-one",
+        ),
+        pytest.param(
+            zonotope, "forest_columns", lambda _: lambda f: zonotope._columns(f.forest.vertex_count, f.forest.edges, ()),
+            ["determinant-lemma", "sharp-routes"], id="no-mark-columns",
+        ),
+        pytest.param(
+            zonotope, "volume_by_forests", lambda vol: lambda n: zonotope.NormalizedVolume(vol(n).coeff + 1, n),
+            ["grouped-abel-identity", "cyclo-volume"], id="wrong-forest-volume",
+        ),
+    ],
+)
+def test_each_check_catches_its_mutation(monkeypatch, module, name, mutate, failing):
+    # one route patched at a time: exactly the checks that compare it fail
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert [r.name for r in verification.run_all(4) if not r.passed] == failing

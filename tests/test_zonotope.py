@@ -24,7 +24,6 @@ from cycloperm.zonotope import (
     _wedge_tables,
     edge_vector,
     forest_columns,
-    forest_det_matrix,
     lattice_count_bruteforce,
     lattice_count_closed_form,
     ones_vector,
@@ -105,12 +104,9 @@ def test_permutohedron_volume():
 
 def test_det_of_decorated_forest_examples():
     d = DecoratedForest(LabeledForest(3, [(1, 2)]), [3])
-    unit = forest_det_matrix(d, marks_as="unit")
-    assert abs(det_rows(unit)) == 2
-    radial = forest_det_matrix(d, marks_as="radial")
-    assert abs(det_rows(radial)) == 3 * 2  # factor n per mark
-    with pytest.raises(ValueError, match="marks_as"):
-        forest_det_matrix(d, marks_as="edge")
+    assert abs(det_rows(forest_columns(d) + [ones_vector(3)])) == 3 * 2  # n per mark times N(F)
+    d = DecoratedForest(LabeledForest(4, [(1, 2)]), [3, 4])
+    assert abs(det_rows(forest_columns(d) + [ones_vector(4)])) == 4 ** 2 * 2
 
 
 # --- the walk over generator selections ---
