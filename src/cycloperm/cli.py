@@ -61,9 +61,10 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
 
 # Largest n that forests phi/Phi/abel, perm volume/points, cyclo volume
 # --method forests and cyclo points --method closed accept, the largest
-# verify --n-max, and the largest n = bars - 1 of linkage cells, whose
-# Stirling rows grow as bars^2 big integers; n = 300 takes under a second
-# cold (301 equal bars: 0.15 s and 21 MB).
+# verify --n-max, and the largest n = bars - 1 of every linkage command,
+# checked before the table bound; n = 300 takes under a second cold (301
+# equal bars: 0.14-0.18 s and 16-21 MB, the most for cells, whose Stirling
+# rows grow as bars^2 big integers).
 CLOSED_N_MAX = 300
 
 # Largest bound on the steps of the subset-sum table behind every linkage
@@ -150,8 +151,8 @@ def _run_linkage(args) -> list[ResultRecord]:
     from . import linkage as linkage_mod
 
     lengths = parse_lengths(args.lengths)
-    if args.sub == "cells" and len(lengths) - 1 > CLOSED_N_MAX:
-        raise ValueError(f"n={len(lengths) - 1} (bars - 1) exceeds the cap n <= {CLOSED_N_MAX} of linkage cells")
+    if len(lengths) - 1 > CLOSED_N_MAX:
+        raise ValueError(f"n={len(lengths) - 1} (bars - 1) exceeds the cap n <= {CLOSED_N_MAX} of linkage {args.sub}")
     bound = linkage_mod._table_bound(linkage_mod._integer_lengths(lengths), _LINKAGE_TABLE_CAP)
     if bound > _LINKAGE_TABLE_CAP:
         raise ValueError(

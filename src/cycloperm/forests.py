@@ -77,9 +77,6 @@ class NormalizedVolume(_Value):
             raise ValueError("radicand must be a positive integer")
         self._set(Fraction(coeff), radicand)
 
-    def approx(self) -> float:
-        return float(self.coeff) / math.sqrt(self.radicand)
-
     def __str__(self) -> str:
         if self.radicand == 1:
             return str(self.coeff)
@@ -147,60 +144,21 @@ class LabeledForest(_Value):
         return len(self.edges)
 
 
-def _check_marks(forest: LabeledForest, marked: frozenset[int]) -> tuple[frozenset[int], ...]:
-    n = forest.vertex_count
-    if not all(1 <= v <= n for v in marked):
-        raise ValueError("marked vertices outside 1..n")
-    comps = forest.components()
-    for comp in comps:
-        if len(comp & marked) > 1:
-            raise ValueError("a component carries more than one mark")
-    return comps
-
-
-class DecoratedForest(_Value):
-    """Forest plus marks with |edges| + |marks| = n - 1 and at most one mark
-    per component; exactly one component (the free tree) is then unmarked."""
-
-    __slots__ = _fields = ("forest", "marked")
-
-    def __init__(self, forest: LabeledForest, marked: Iterable[int] = ()):
-        marked = frozenset(marked)
-        comps = _check_marks(forest, marked)
-        n = forest.vertex_count
-        if forest.edge_count + len(marked) != n - 1:
-            raise ValueError("need |edges| + |marks| = n - 1")
-        free = [c for c in comps if not (c & marked)]
-        if len(free) != 1:
-            raise ValueError("expected exactly one unmarked component")
-        self._set(forest, marked)
-
-    @property
-    def mark_count(self) -> int:
-        return len(self.marked)
-
-    @property
-    def free_tree_vertices(self) -> frozenset[int]:
-        for comp in self.forest.components():
-            if not (comp & self.marked):
-                return comp
-        raise AssertionError("unreachable: validated at construction")
-
-    @property
-    def free_tree_size(self) -> int:
-        return len(self.free_tree_vertices)
-
-
 class PartialDecoratedForest(_Value):
     """Forest plus marks with |edges| + |marks| <= n - 1 and at most one mark
-    per component; at least one component is unmarked."""
+    per component.  A forest on [n] has n - |edges| components, and
+    |marks| <= n - 1 - |edges| is fewer, so at least one component is
+    unmarked (free)."""
 
     __slots__ = _fields = ("forest", "marked")
 
     def __init__(self, forest: LabeledForest, marked: Iterable[int] = ()):
         marked = frozenset(marked)
-        _check_marks(forest, marked)
         n = forest.vertex_count
+        if not all(1 <= v <= n for v in marked):
+            raise ValueError("marked vertices outside 1..n")
+        if any(len(comp & marked) > 1 for comp in forest.components()):
+            raise ValueError("a component carries more than one mark")
         if forest.edge_count + len(marked) > n - 1:
             raise ValueError("need |edges| + |marks| <= n - 1")
         self._set(forest, marked)
@@ -211,6 +169,32 @@ class PartialDecoratedForest(_Value):
 
     def free_components(self) -> tuple[frozenset[int], ...]:
         return tuple(c for c in self.forest.components() if not (c & self.marked))
+
+
+class DecoratedForest(_Value):
+    """Partial decorated forest with |edges| + |marks| = n - 1.  Its
+    n - |edges| = |marks| + 1 components carry at most one mark each, so
+    exactly one component (the free tree) is unmarked."""
+
+    __slots__ = _fields = ("forest", "marked")
+
+    def __init__(self, forest: LabeledForest, marked: Iterable[int] = ()):
+        marked = PartialDecoratedForest(forest, marked).marked
+        if forest.edge_count + len(marked) != forest.vertex_count - 1:
+            raise ValueError("need |edges| + |marks| = n - 1")
+        self._set(forest, marked)
+
+    @property
+    def mark_count(self) -> int:
+        return len(self.marked)
+
+    @property
+    def free_tree_vertices(self) -> frozenset[int]:
+        return next(c for c in self.forest.components() if not (c & self.marked))
+
+    @property
+    def free_tree_size(self) -> int:
+        return len(self.free_tree_vertices)
 
 
 def prufer_decode(labels: Sequence[int], seq: Sequence[int]) -> tuple[Edge, ...]:
@@ -273,32 +257,18 @@ def _forest_of(n: int, components: tuple[frozenset[int], ...], trees: Iterable) 
 
 def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Set partitions in lexicographic restricted-growth-string order; blocks
-    are ordered by first occurrence and each block keeps the input order."""
-    items = list(items)
-    n = len(items)
-    if n == 0:
+    are ordered by first occurrence and each block keeps the input order.
+    The last item joins each block of a partition of the others in turn,
+    then opens a block of its own."""
+    items = tuple(items)
+    if not items:
         yield ()
         return
-    codes = [0] * n
-    maxes = [0] * n
-    while True:
-        blocks: list[list[int]] = [[] for _ in range(maxes[n - 1] + 1)]
-        for x, c in zip(items, codes):
-            blocks[c].append(x)
-        yield tuple(tuple(b) for b in blocks)
-        i = n - 1
-        while i > 0:
-            if codes[i] <= maxes[i - 1]:
-                codes[i] += 1
-                break
-            codes[i] = 0
-            i -= 1
-        else:
-            return
-        maxes[i] = max(maxes[i - 1], codes[i])
-        for j in range(i + 1, n):
-            codes[j] = 0
-            maxes[j] = maxes[j - 1]
+    last = items[-1]
+    for blocks in set_partitions(items[:-1]):
+        for j in range(len(blocks)):
+            yield blocks[:j] + (blocks[j] + (last,),) + blocks[j + 1:]
+        yield blocks + ((last,),)
 
 
 def _trees_with(size: int) -> int:

@@ -88,14 +88,11 @@ def _table_bound(ints: Sequence[int], cap: int) -> int:
     these i bars and the smaller of the sum of the k largest and room / 2.
     Counting stops once the bound exceeds `cap`."""
     *rest, last = ints
-    n = len(rest)
-    if n * (n + 1) // 2 > cap:  # the steps alone
-        return n * (n + 1) // 2
     half = (sum(rest) - last) // 2
     top = list(accumulate(sorted(rest, reverse=True), initial=0))  # top[k]: the k largest
     bound = 0
     row = [1]  # C(i, 0..i), saturated above cap
-    for i in range(n):
+    for i in range(len(rest)):
         # top[i] - top[i - k]: the k smallest of the i largest bars
         widths = (max(0, min(top[k], half) - top[i] + top[i - k] + 1) for k in range(i + 1))
         bound += sum(1 + min(c, w) for c, w in zip(row, widths))
@@ -204,8 +201,6 @@ def a_profile(spec: LinkageSpec) -> ShortSetProfile:
 def moduli_volume_theorem(spec: LinkageSpec) -> NormalizedVolume:
     """Volume of M(L) as n * sum_k (-1)^k a_k (n-k)^(n-2) over sqrt(n)."""
     n = spec.n
-    if n < 2:
-        raise LinkageError("need at least three bars")
     prof = spec._profile
     s = sum((-1) ** k * prof.a[k] * (n - k) ** (n - 2) for k in range(n + 1))
     return NormalizedVolume(Fraction(n * s), n)
@@ -220,8 +215,6 @@ def moduli_volume_forests(spec: LinkageSpec) -> NormalizedVolume:
     """Volume of M(L) as the decorated-forest sum of (-n)^(#marks) * N(F)
     restricted to forests whose free tree spans a long vertex set."""
     n = spec.n
-    if n < 2:
-        raise LinkageError("need at least three bars")
     if n > EQUILATERAL_FOREST_MAX:
         raise ValueError(f"n={n} exceeds bound={EQUILATERAL_FOREST_MAX}; use moduli_volume_theorem")
     ints = _integer_lengths(spec.lengths)
@@ -335,15 +328,11 @@ def enumerate_cells(spec: LinkageSpec) -> Iterator[CyclicPartition]:
     blocks has dimension n + 1 - m; cells come out by ascending dimension,
     partitions in enumeration order, arrangements in lexicographic order of
     the non-final blocks."""
-    bym: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
-    for blocks in _admissible_partitions(spec):
-        bym.setdefault(len(blocks), []).append(blocks)
-    for m in range(spec.bar_count, 2, -1):
-        for blocks in bym.get(m, []):
-            last = next(b for b in blocks if spec.bar_count in b)
-            rest = [b for b in blocks if b is not last]
-            for arrangement in permutations(rest):
-                yield CyclicPartition(arrangement + (last,))
+    for blocks in sorted(_admissible_partitions(spec), key=len, reverse=True):
+        last = next(b for b in blocks if spec.bar_count in b)
+        rest = [b for b in blocks if b is not last]
+        for arrangement in permutations(rest):
+            yield CyclicPartition(arrangement + (last,))
 
 
 _STIRLING = [[1]]  # row t: S(t, 0..t), grown across calls

@@ -84,15 +84,12 @@ def forest_columns(forest: PartialDecoratedForest | DecoratedForest) -> list[tup
 def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
     """Lattice points in the semiopen brick of a partial decorated forest:
     n^(|marks| - 1) * gcd(free component sizes), with value 1 when there are
-    no marks and 0 when no free component remains."""
-    free_sizes = [len(c) for c in forest.free_components()]
-    if not free_sizes:
-        return 0
+    no marks."""
     m = forest.mark_count
     if m == 0:
         return 1
     n = forest.forest.vertex_count
-    return n ** (m - 1) * math.gcd(*free_sizes)
+    return n ** (m - 1) * math.gcd(*(len(c) for c in forest.free_components()))
 
 
 # --- the Pluecker walk over generator subsets ---

@@ -308,6 +308,17 @@ def test_linkage_cells_bar_cap(capsys, monkeypatch):
     assert err == "error: n=301 (bars - 1) exceeds the cap n <= 300 of linkage cells\n"
 
 
+def test_linkage_bar_cap_on_every_subcommand(capsys, monkeypatch):
+    code, out, _ = _capture(capsys, ["linkage", "volume", "--lengths", ",".join(["1"] * 301)])
+    assert code == 0
+    assert out.startswith("linkage.volume n=300 method=theorem ")
+    monkeypatch.setattr(linkage, "_table_bound", lambda ints, cap: pytest.fail("table bound started"))
+    for sub in ("volume", "betti", "aprofile", "cells"):
+        code, out, err = _capture(capsys, ["linkage", sub, "--lengths", ",".join(["1"] * 302)])
+        assert (code, out) == (2, "")
+        assert err == f"error: n=301 (bars - 1) exceeds the cap n <= 300 of linkage {sub}\n"
+
+
 def test_forests_commands(capsys):
     assert _capture(capsys, ["forests", "phi", "--n", "4", "--format", "json"])[1] == (
         '{"quantity": "forests.phi", "coeff": "38", "radicand": 1, "approx": "38", '

@@ -131,11 +131,29 @@ def test_set_partitions_order_and_counts():
     ]
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
     for n, b in enumerate(bell):
-        parts = list(set_partitions(range(1, n + 1)))
-        assert len(parts) == b
-        assert len(set(parts)) == b
-        for blocks in parts:
-            assert sorted(x for b_ in blocks for x in b_) == list(range(1, n + 1))
+        want = _partitions_by_growth_strings(range(1, n + 1))
+        assert len(want) == b
+        assert list(set_partitions(range(1, n + 1))) == want
+    assert list(set_partitions([5, 2, 9, 1])) == _partitions_by_growth_strings([5, 2, 9, 1])
+
+
+def _partitions_by_growth_strings(items):
+    # the restricted growth strings c (c_0 = 0, c_i <= 1 + max(c_0..c_{i-1}))
+    # among all strings over 0..n-1 in lexicographic order; item i goes to
+    # block c_i, and a string is dropped at its first code too high
+    items = list(items)
+    out = []
+    for codes in sorted(product(range(len(items)), repeat=len(items))):
+        blocks = []
+        for x, c in zip(items, codes):
+            if c > len(blocks):
+                break
+            if c == len(blocks):
+                blocks.append([])
+            blocks[c].append(x)
+        else:
+            out.append(tuple(map(tuple, blocks)))
+    return out
 
 
 # --- trees and Pruefer codes ---

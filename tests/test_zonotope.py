@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cycloperm.cli import approx_string
 from cycloperm.forests import (
     DecoratedForest,
     LabeledForest,
@@ -48,7 +49,7 @@ def test_generator_vectors():
 def test_normalized_volume():
     v = NormalizedVolume(Fraction(9), 3)
     assert str(v) == "9/sqrt(3)"
-    assert abs(v.approx() - 5.196152422706632) < 1e-12
+    assert approx_string(v.coeff, v.radicand) == "5.19615242271"
     assert str(NormalizedVolume(Fraction(18), 1)) == "18"
     with pytest.raises(ValueError):
         NormalizedVolume(Fraction(1), 0)
@@ -158,6 +159,28 @@ def test_walk_coordinates_are_the_minors():
                         minors[sum(1 << r for r in picked)] = d
                 assert state == minors
                 assert marks == len(radials)
+
+
+def _ones_column_identity(n, edges, marks):
+    # Adding every row to the last turns it into (0, ..., 0, n): each
+    # generator column sums to 0 and the ones column to n.  Expanding along
+    # that row gives det[C | 1] = n * det(C on the first n - 1 rows), sign
+    # included.
+    cols = _columns(n, edges, marks)
+    assert det_rows(cols + [ones_vector(n)]) == n * det_rows([c[:-1] for c in cols])
+
+
+def test_det_with_ones_column_is_n_times_top_minor():
+    for n in range(2, 6):
+        for edges, marks in _selections(n, (n - 1,)):
+            _ones_column_identity(n, edges, marks)
+
+
+@given(st.integers(6, 7), st.data())
+def test_det_with_ones_column_random_selections(n, data):
+    generators = st.integers(0, len(_generators(n)) - 1)
+    selection = data.draw(st.lists(generators, min_size=n - 1, max_size=n - 1, unique=True))
+    _ones_column_identity(n, *_split(n, selection))
 
 
 def test_dropped_row_keeps_the_brick_count():
