@@ -32,7 +32,6 @@ _EXPORTS = {
         "CyclicPartition",
         "LinkageError",
         "LinkageSpec",
-        "ShortSetProfile",
         "a_profile",
         "betti",
         "betti_vector",

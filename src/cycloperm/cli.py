@@ -153,7 +153,8 @@ def _run_linkage(args) -> list[ResultRecord]:
     lengths = parse_lengths(args.lengths)
     if len(lengths) - 1 > CLOSED_N_MAX:
         raise ValueError(f"n={len(lengths) - 1} (bars - 1) exceeds the cap n <= {CLOSED_N_MAX} of linkage {args.sub}")
-    bound = linkage_mod._table_bound(linkage_mod._integer_lengths(lengths), _LINKAGE_TABLE_CAP)
+    # the O(n) checks of validation name invalid lengths before the bound
+    bound = linkage_mod._table_bound(linkage_mod._scaled_lengths(lengths)[1], _LINKAGE_TABLE_CAP)
     if bound > _LINKAGE_TABLE_CAP:
         raise ValueError(
             f"the subset-sum table of these lengths may take more than {_LINKAGE_TABLE_CAP} steps, "
@@ -176,7 +177,7 @@ def _run_linkage(args) -> list[ResultRecord]:
     if args.sub == "aprofile":
         return [
             _int_record(f"linkage.a[{k}]", a, "short-sets", n)
-            for k, a in enumerate(linkage_mod.a_profile(spec).a)
+            for k, a in enumerate(linkage_mod.a_profile(spec))
         ]
     fvec = linkage_mod.f_vector(spec)
     records = [_int_record(f"linkage.f[{k}]", f, "cell-complex", n) for k, f in enumerate(fvec)]
@@ -255,13 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--jobs", type=_jobs, default=1, help="parallelism cap N >= 1 for brute-force scans")
+    pool = argparse.ArgumentParser(add_help=False)  # the commands that can run a brute scan
+    pool.add_argument("--jobs", type=_jobs, default=1, help="parallelism cap N >= 1 for brute-force scans")
     groups = parser.add_subparsers(dest="group", required=True)
 
     cyclo = groups.add_parser("cyclo", help="cyclopermutohedron").add_subparsers(
         dest="sub", required=True
     )
-    cv = cyclo.add_parser("volume", parents=[common], help="signed volume")
+    cv = cyclo.add_parser("volume", parents=[common, pool], help="signed volume")
     cv.add_argument("--n", type=_count, required=True)
     cv.add_argument(
         "--method",
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="brute: alternating determinant sum; forests: grouped forest sum (default); "
         "closed: 0 for n >= 3, -2/sqrt(2) at n = 2",
     )
-    cp = cyclo.add_parser("points", parents=[common], help="signed lattice-point count")
+    cp = cyclo.add_parser("points", parents=[common, pool], help="signed lattice-point count")
     cp.add_argument("--n", type=_count, required=True)
     cp.add_argument("--method", choices=("brute", "closed"))
 
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     fa.add_argument("--a", required=True, help="rational parameter a")
     fa.add_argument("--x", required=True, help="rational evaluation point x")
 
-    ver = groups.add_parser("verify", parents=[common], help="run the cross-check suite")
+    ver = groups.add_parser("verify", parents=[common, pool], help="run the cross-check suite")
     ver.add_argument("--n-max", type=_count, default=5, dest="n_max")
     return parser
 

@@ -53,10 +53,21 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _integer_lengths(lengths: Sequence[Fraction]) -> list[int]:
-    """The lengths times their common denominator."""
+def _scaled_lengths(lengths: Iterable) -> tuple[tuple[Fraction, ...], list[int]]:
+    """The lengths as fractions, and times their common denominator.  Raises
+    a LinkageError subclass on an empty list, a non-positive length or a
+    longest bar out of place, in that order: the O(n) checks of validation,
+    which the CLI runs before it bounds the table."""
+    lengths = tuple(_as_fraction(x) for x in lengths)
+    if not lengths:
+        raise LinkageError("need at least one bar")
     scale = math.lcm(*(x.denominator for x in lengths))
-    return [x.numerator * (scale // x.denominator) for x in lengths]
+    ints = [x.numerator * (scale // x.denominator) for x in lengths]
+    if min(ints) <= 0:
+        raise NonPositiveLengthError("bar lengths must be positive")
+    if max(ints) != ints[-1]:
+        raise LongestNotLastError("longest bar must be listed last")
+    return lengths, ints
 
 
 def _subset_sums(ints: Sequence[int], room: int) -> list[dict[int, int]]:
@@ -113,15 +124,8 @@ class LinkageSpec(_Value):
     _fields = __slots__[:1]
 
     def __init__(self, lengths: Iterable):
-        lengths = tuple(_as_fraction(x) for x in lengths)
-        if not lengths:
-            raise LinkageError("need at least one bar")
-        ints = _integer_lengths(lengths)
-        if min(ints) <= 0:
-            raise NonPositiveLengthError("bar lengths must be positive")
+        lengths, ints = _scaled_lengths(lengths)
         *rest, last = ints
-        if max(ints) != last:
-            raise LongestNotLastError("longest bar must be listed last")
         room = sum(rest) - last
         ways = _subset_sums(rest, room)
         # of a subset summing to half the perimeter and its complement, one
@@ -130,9 +134,8 @@ class LinkageSpec(_Value):
             raise WallHitError("a subset of bars sums to half the perimeter")
         if room <= 0:
             raise TriangleViolationError("longest bar is at least half the perimeter")
-        # no sum is room / 2 now, so every kept S has S + {last} short; the
-        # counts are a profile by construction
-        self._set(lengths, ShortSetProfile._unchecked(tuple(sum(w.values()) for w in ways)))
+        # no sum is room / 2 now, so every kept S has S + {last} short
+        self._set(lengths, tuple(sum(w.values()) for w in ways))
 
     @property
     def bar_count(self) -> int:
@@ -164,33 +167,9 @@ def is_short(spec: LinkageSpec, subset: Iterable[int]) -> bool:
     return sum(spec.lengths[i - 1] for i in subset) < spec.half_perimeter
 
 
-class ShortSetProfile(_Value):
+def a_profile(spec: LinkageSpec) -> tuple[int, ...]:
     """a[k] = number of k-subsets S of the first n bars with S + {last bar}
-    short."""
-
-    __slots__ = _fields = ("a",)
-
-    def __init__(self, a: tuple[int, ...]):
-        if not a or a[0] != 1:
-            raise ValueError("a[0] must be 1: the longest bar alone is short")
-        n = len(a) - 1
-        if any(not 0 <= a[k] <= math.comb(n, k) for k in range(n + 1)):
-            raise ValueError("a[k] must lie between 0 and C(n,k)")
-        self._set(a)
-
-    @property
-    def n(self) -> int:
-        return len(self.a) - 1
-
-    def of(self, k: int) -> int:
-        """a[k], extended by zero outside 0..n."""
-        if 0 <= k <= self.n:
-            return self.a[k]
-        return 0
-
-
-def a_profile(spec: LinkageSpec) -> ShortSetProfile:
-    """The profile, read off the (size, sum) table at validation: S + {last}
+    short, k = 0..n; read off the (size, sum) table at validation: S + {last}
     is short iff 2 sum(S) < sum(first n) - last."""
     return spec._profile
 
@@ -202,7 +181,7 @@ def moduli_volume_theorem(spec: LinkageSpec) -> NormalizedVolume:
     """Volume of M(L) as n * sum_k (-1)^k a_k (n-k)^(n-2) over sqrt(n)."""
     n = spec.n
     prof = spec._profile
-    s = sum((-1) ** k * prof.a[k] * (n - k) ** (n - 2) for k in range(n + 1))
+    s = sum((-1) ** k * prof[k] * (n - k) ** (n - 2) for k in range(n + 1))
     return NormalizedVolume(Fraction(n * s), n)
 
 
@@ -217,7 +196,7 @@ def moduli_volume_forests(spec: LinkageSpec) -> NormalizedVolume:
     n = spec.n
     if n > EQUILATERAL_FOREST_MAX:
         raise ValueError(f"n={n} exceeds bound={EQUILATERAL_FOREST_MAX}; use moduli_volume_theorem")
-    ints = _integer_lengths(spec.lengths)
+    ints = _scaled_lengths(spec.lengths)[1]
     perimeter = sum(ints)
     total = 0
     for f in enumerate_decorated_forests(n):
@@ -236,16 +215,12 @@ def betti(spec: LinkageSpec, k: int) -> int:
     n = spec.n
     if not 0 <= k <= n - 2:
         raise ValueError(f"k must lie in 0..{n - 2}")
-    return _betti_of(spec._profile, k)
+    return betti_vector(spec)[k]
 
 
 def betti_vector(spec: LinkageSpec) -> tuple[int, ...]:
-    prof = spec._profile
-    return tuple(_betti_of(prof, k) for k in range(spec.n - 1))
-
-
-def _betti_of(prof: ShortSetProfile, k: int) -> int:
-    return prof.of(k) + prof.of(prof.n - 2 - k)
+    a, n = spec._profile, spec.n
+    return tuple(a[k] + a[n - 2 - k] for k in range(n - 1))
 
 
 # --- the cell complex ---
@@ -363,10 +338,11 @@ def f_vector(spec: LinkageSpec) -> tuple[int, ...]:
     One without it is long iff its complement, an (n+1-j)-set with the last
     bar, is short, and a_{n-j} of those are.  So the long j-sets number
     l_j = C(n, j-1) + a_{n-j} - a_{j-1}, and the short ones s_j = C(n, j) -
-    a_{n-j} + a_{j-1}."""
+    a_{n-j} + a_{j-1}.  With m >= 3, only l_1..l_{n-1} are read, and they
+    read a_0..a_{n-1}."""
     n = spec.n
-    a = spec._profile.of
-    longs = [0] + [math.comb(n, j - 1) + a(n - j) - a(j - 1) for j in range(1, n + 2)]
+    a = spec._profile
+    longs = [0] + [math.comb(n, j - 1) + a[n - j] - a[j - 1] for j in range(1, n)]
     stirling = _stirling_rows(n + 1)
     return tuple(  # S(B-j, m-1) vanishes for j > B-m+1
         (stirling[n + 1][m] - sum(longs[j] * stirling[n + 1 - j][m - 1] for j in range(1, n + 3 - m)))

@@ -121,6 +121,14 @@ GOLDEN = [
         ["linkage", "volume", "--lengths", "1.2,1,1,0.8,2.2"],
         "linkage.volume n=4 method=theorem coeff=28 radicand=4 approx=14\n",
     ),
+    (
+        ["linkage", "volume", "--lengths", "1.2,1,1,0.8,2.2", "--method", "forests"],
+        "linkage.volume n=4 method=forests coeff=28 radicand=4 approx=14\n",
+    ),
+    (
+        ["linkage", "volume", "--lengths", "1.2,1,1,0.8,2.2", "--method", "forests", "--format", "json"],
+        '{"quantity": "linkage.volume", "coeff": "28", "radicand": 4, "approx": "14", "method": "forests", "n": 4}\n',
+    ),
 ]
 
 
@@ -192,6 +200,23 @@ def test_jobs_below_one_rejected(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert reason in err
+
+
+def test_jobs_only_where_a_pool_can_run(capsys, monkeypatch):
+    monkeypatch.setattr(linkage, "validate", lambda lengths: pytest.fail("validation started"))
+    monkeypatch.setattr(forests, "forest_count", lambda n: pytest.fail("work started"))
+    monkeypatch.setattr(zonotope, "permutohedron_volume", lambda n: pytest.fail("work started"))
+    for argv in (
+        ["perm", "volume", "--n", "3"],
+        ["linkage", "betti", "--lengths", "1,1,1,1,3.5"],
+        ["forests", "phi", "--n", "5"],
+    ):
+        code, out, err = _capture(capsys, argv + ["--jobs", "2"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --jobs 2" in err
+    monkeypatch.undo()
+    for argv in (["cyclo", "volume", "--n", "4"], ["cyclo", "points", "--n", "4"], ["verify", "--n-max", "2"]):
+        assert _capture(capsys, argv + ["--jobs", "2"])[0] == 0
 
 
 def test_closed_routes_capped(capsys, monkeypatch):
@@ -298,6 +323,19 @@ def test_linkage_table_budget_refuses_before_validation(capsys, monkeypatch):
         assert "may take more than 3000000 steps, the cap of the linkage commands" in err
 
 
+def test_invalid_lengths_named_before_the_table_budget(capsys, monkeypatch):
+    # past the budget as lengths, but the O(n) checks of validation fail first
+    primes = [p for p in range(3, 102, 2) if all(p % q for q in range(3, p, 2))]
+    bars = [str(1 + Fraction(1, p)) for p in primes]
+    monkeypatch.setattr(linkage, "_table_bound", lambda ints, cap: pytest.fail("table bound started"))
+    for text, reason in (
+        (",".join(bars[:12] + ["0"] + bars[12:]) + ",5/2", "bar lengths must be positive"),
+        (",".join(bars[:12] + ["-1"] + bars[12:]) + ",5/2", "bar lengths must be positive"),
+        (",".join(bars[:24]) + ",9,1", "longest bar must be listed last"),
+    ):
+        assert _capture(capsys, ["linkage", "betti", "--lengths", text]) == (2, "", f"error: {reason}\n")
+
+
 def test_linkage_cells_bar_cap(capsys, monkeypatch):
     code, out, _ = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 301)])
     assert code == 0
@@ -352,6 +390,10 @@ def test_validation_exit_codes(capsys):
     for text in ("1,,1", "1,1,1,", ",", "", "1,,1,1,"):
         argv = ["linkage", "volume", "--lengths", text]
         assert _capture(capsys, argv) == (2, "", "error: not a rational number: ''\n")
+    # the forest route's bar cap, and run_all's guard
+    argv = ["linkage", "volume", "--lengths", "1,1,1,1,1,1,1,2", "--method", "forests"]
+    assert _capture(capsys, argv) == (2, "", "error: n=7 exceeds bound=6; use moduli_volume_theorem\n")
+    assert _capture(capsys, ["verify", "--n-max", "1"]) == (2, "", "error: n_max must be at least 2\n")
     # argparse-level failures also exit 2
     assert run(["cyclo", "volume"]) == 2
     assert run(["bogus"]) == 2

@@ -16,7 +16,6 @@ from cycloperm.linkage import (
     LinkageError,
     LongestNotLastError,
     NonPositiveLengthError,
-    ShortSetProfile,
     TriangleViolationError,
     WallHitError,
     a_profile,
@@ -100,9 +99,9 @@ def test_short_sets_closed_under_shrinking():
 
 
 def test_a_profiles():
-    assert a_profile(TORUS).a == (1, 1, 0, 0, 0)
-    assert a_profile(PENTAGON).a == (1, 4, 0, 0, 0)
-    assert a_profile(SPHERE).a == (1, 0, 0, 0, 0)
+    assert a_profile(TORUS) == (1, 1, 0, 0, 0)
+    assert a_profile(PENTAGON) == (1, 4, 0, 0, 0)
+    assert a_profile(SPHERE) == (1, 0, 0, 0, 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -120,7 +119,7 @@ def test_subset_sum_dps_match_enumeration(pairs):
         assert not wall
         return
     assert not wall
-    assert a_profile(spec).a == _profile_by_subsets(spec)
+    assert a_profile(spec) == _profile_by_subsets(spec)
     assert f_vector(spec) == _f_vector_by_partitions(spec)
 
 
@@ -148,7 +147,11 @@ def test_short_sets_by_the_complement_identity(pairs):
         spec = validate(sorted(Fraction(v, d) for v, d in pairs))
     except LinkageError:
         return
-    n, a = spec.n, a_profile(spec).of
+    n, prof = spec.n, a_profile(spec)
+
+    def a(k):  # a_k, and a_{-1} = 0
+        return prof[k] if k >= 0 else 0
+
     ints = [int(12 * x) for x in spec.lengths]  # 12 is a multiple of every denominator
     total = sum(ints)
     for j in range(n + 2):
@@ -174,15 +177,32 @@ def test_table_built_once_at_validation(monkeypatch):
         assert len(calls) == 1
 
 
-def test_short_set_profile_validation():
-    with pytest.raises(ValueError):
-        ShortSetProfile((0, 1))
-    with pytest.raises(ValueError):
-        ShortSetProfile((1, 9))
-    prof = ShortSetProfile((1, 2, 0))
-    assert prof.n == 2
-    assert prof.of(5) == 0
-    assert prof.of(-1) == 0
+def _table_steps(ints: list[int]) -> int:
+    """The steps of `_subset_sums` over the first n of these scaled lengths:
+    per bar x with limit >= 0, 1 + len(ways[k]) for k <= min(i, limit // x),
+    with ways the table over the i larger bars before it."""
+    *rest, last = ints
+    room = sum(rest) - last
+    order = sorted(rest, reverse=True)
+    steps = 0
+    for i, x in enumerate(order):
+        limit = room // 2 - x
+        if limit >= 0:
+            ways = linkage._subset_sums(order[:i], room)
+            steps += sum(1 + len(ways[k]) for k in range(min(i, limit // x) + 1))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 4, 10]).flatmap(
+        lambda den: st.lists(st.tuples(st.integers(1, 19), st.integers(1, den)), min_size=3, max_size=12)
+    )
+)
+def test_table_bound_covers_the_table_steps(pairs):
+    # the CLI's budget rests on this: the bound never undercounts the loop
+    _, ints = linkage._scaled_lengths(sorted(Fraction(v, d) for v, d in pairs))
+    assert linkage._table_bound(ints, 10**9) >= _table_steps(ints)
 
 
 def test_named_volumes():
