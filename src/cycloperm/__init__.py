@@ -27,13 +27,12 @@ _EXPORTS = {
         "forest_count",
         "forest_gcd_sum",
     ),
-    "intlin": ("det_rows", "semiopen_lattice_count"),
+    "intlin": ("det_rows",),
     "linkage": (
         "CyclicPartition",
         "LinkageError",
         "LinkageSpec",
         "a_profile",
-        "betti",
         "betti_vector",
         "enumerate_cells",
         "equilateral_volume",

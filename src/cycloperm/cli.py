@@ -194,8 +194,18 @@ def _run_forests(args) -> list[ResultRecord]:
         return [_int_record("forests.phi", forests_mod.forest_count(_closed_n(n)), "partition-sum", n)]
     if args.sub == "Phi":
         return [_int_record("forests.Phi", forests_mod.forest_gcd_sum(_closed_n(n)), "partition-sum", n)]
-    value = forests_mod.abel_eval(_closed_n(n), parse_rational(args.a), parse_rational(args.x))
-    return [_int_record("forests.abel", value, "closed", n)]
+    n, a, x = _closed_n(n), parse_rational(args.a), parse_rational(args.x)
+    # in lowest terms x y^(n-1), y = x - a n, has a numerator of at least |num y|^(n-1)
+    # / den x and a denominator of at least (den y)^(n-1) / |num x|; refuse before the
+    # power when one exceeds 2^bits >= 10^limit (3.322 > log2(10)), else leave it to _render
+    y, limit = x - a * n, _digit_limit()
+    bits = max(
+        (abs(y.numerator).bit_length() - 1) * (n - 1) - x.denominator.bit_length(),
+        (y.denominator.bit_length() - 1) * (n - 1) - abs(x.numerator).bit_length(),
+    )
+    if limit and x and bits * 1000 >= limit * 3322:
+        raise ValueError(f"result has more than {limit} digits; too large to print")
+    return [_int_record("forests.abel", forests_mod.abel_eval(n, a, x), "closed", n)]
 
 
 def _render(records: list[ResultRecord], fmt: str) -> str:

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants and semiopen brick counts.
+"""Exact integer determinants.
 
 A matrix is a plain sequence of integer rows or columns.  Determinants use
 Bareiss fraction-free elimination, so every intermediate value is an
@@ -7,8 +7,6 @@ integer and every division is exact.
 
 from __future__ import annotations
 
-import math
-from itertools import combinations
 from typing import Sequence
 
 
@@ -43,25 +41,3 @@ def det_rows(rows: Sequence[Sequence[int]]) -> int:
         prev = pivot
     return sign * a[n - 1][n - 1]
 
-
-def semiopen_lattice_count(columns: Sequence[Sequence[int]]) -> int:
-    """Number of lattice points in the semiopen brick spanned by the columns:
-    sum_i t_i c_i with 0 <= t_i < 1.
-
-    Equals the gcd of all maximal (k x k) minors, where k is the number of
-    columns; 0 when the columns are linearly dependent, 1 when k = 0.
-    """
-    k = len(columns)
-    if k == 0:
-        return 1
-    if any(len(c) != len(columns[0]) for c in columns):
-        raise ValueError("ragged columns")
-    rows = list(zip(*columns))
-    if k > len(rows):
-        return 0
-    g = 0
-    for picked in combinations(rows, k):
-        g = math.gcd(g, det_rows(picked))
-        if g == 1:
-            return 1
-    return g

@@ -55,9 +55,10 @@ def _as_fraction(x) -> Fraction:
 
 def _scaled_lengths(lengths: Iterable) -> tuple[tuple[Fraction, ...], list[int]]:
     """The lengths as fractions, and times their common denominator.  Raises
-    a LinkageError subclass on an empty list, a non-positive length or a
-    longest bar out of place, in that order: the O(n) checks of validation,
-    which the CLI runs before it bounds the table."""
+    a LinkageError subclass on an empty list, a non-positive length, a
+    longest bar out of place or above half the perimeter (where no subset
+    sums to half of it, so no wall precedes), in that order: the O(n)
+    checks of validation, which the CLI runs before it bounds the table."""
     lengths = tuple(_as_fraction(x) for x in lengths)
     if not lengths:
         raise LinkageError("need at least one bar")
@@ -67,6 +68,8 @@ def _scaled_lengths(lengths: Iterable) -> tuple[tuple[Fraction, ...], list[int]]
         raise NonPositiveLengthError("bar lengths must be positive")
     if max(ints) != ints[-1]:
         raise LongestNotLastError("longest bar must be listed last")
+    if 2 * ints[-1] > sum(ints):
+        raise TriangleViolationError("longest bar is at least half the perimeter")
     return lengths, ints
 
 
@@ -129,11 +132,11 @@ class LinkageSpec(_Value):
         room = sum(rest) - last
         ways = _subset_sums(rest, room)
         # of a subset summing to half the perimeter and its complement, one
-        # holds the last bar, and its other bars sum to room / 2
+        # holds the last bar, and its other bars sum to room / 2; room >= 0
+        # here, and at room = 0 the empty set (ways[0] = {0: 1}) is such a
+        # subset, so a last bar of exactly half the perimeter is a wall
         if room % 2 == 0 and any(room // 2 in w for w in ways):
             raise WallHitError("a subset of bars sums to half the perimeter")
-        if room <= 0:
-            raise TriangleViolationError("longest bar is at least half the perimeter")
         # no sum is room / 2 now, so every kept S has S + {last} short
         self._set(lengths, tuple(sum(w.values()) for w in ways))
 
@@ -208,17 +211,10 @@ def moduli_volume_forests(spec: LinkageSpec) -> NormalizedVolume:
 # --- Betti numbers ---
 
 
-def betti(spec: LinkageSpec, k: int) -> int:
-    """k-th Betti number of M(L): a_k + a_{n-2-k}.  The numbers are
-    symmetric (beta_k = beta_{n-2-k}) and consistent with the Euler
-    characteristic of the cell complex."""
-    n = spec.n
-    if not 0 <= k <= n - 2:
-        raise ValueError(f"k must lie in 0..{n - 2}")
-    return betti_vector(spec)[k]
-
-
 def betti_vector(spec: LinkageSpec) -> tuple[int, ...]:
+    """The Betti numbers of M(L), beta_k = a_k + a_{n-2-k} for k = 0..n-2.
+    They are symmetric (beta_k = beta_{n-2-k}) and consistent with the
+    Euler characteristic of the cell complex."""
     a, n = spec._profile, spec.n
     return tuple(a[k] + a[n - 2 - k] for k in range(n - 1))
 

@@ -1,20 +1,25 @@
 """Independent brute-force checks for the closed-form results.
 
 Everything here counts or measures directly from definitions (point scans,
-exact linear solves, coordinate geometry) and shares no code path with the
-formula implementations it validates.
+exact linear solves, partition sums, subset and set-partition scans,
+generator selections, coordinate geometry) and shares no code path with
+the formula implementations it validates.  Its one determinant is
+`intlin.det_rows`, which no product route calls.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .forests import NormalizedVolume
+from .intlin import det_rows
+from .linkage import LinkageSpec, _admissible_partitions, is_short
 
 # Largest n that permutohedron_lattice_points_direct scans (n^n points).
 PERMUTOHEDRON_DIRECT_MAX = 5
@@ -45,35 +50,16 @@ def permutohedron_lattice_points_direct(n: int) -> int:
     return count
 
 
-def _invert(rows: list[tuple[int, ...]]) -> list[list[Fraction]] | None:
-    """Inverse of a square integer matrix by Gauss-Jordan elimination over
-    the rationals; None when the matrix is singular."""
-    k = len(rows)
-    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(rows)]
-    for c in range(k):
-        p = next((i for i in range(c, k) if aug[i][c] != 0), None)
-        if p is None:
-            return None
-        aug[c], aug[p] = aug[p], aug[c]
-        pivot = aug[c][c]
-        aug[c] = [x / pivot for x in aug[c]]
-        for i in range(k):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [r[k:] for r in aug]
-
-
 def semiopen_count_direct(columns: Sequence[Sequence[int]]) -> int:
     """Count lattice points x = sum_i t_i c_i with 0 <= t_i < 1 by scanning
     the integer bounding box of the brick on k linearly independent rows:
-    the first k-subset of rows, in combinations order, whose block A is
-    invertible (the greedy basis of the row matroid).  The projection onto
+    the first k-subset of rows, in combinations order, whose block A has
+    det(A) != 0 (the greedy basis of the row matroid).  The projection onto
     those rows is injective on the span, so each candidate y there gives
-    one t = A^-1 y.  With den the lcm of the denominators of A^-1 and the
-    integer matrix adj = den A^-1, u = adj y = den t; y counts when every
-    entry of u lies in [0, den) (0 <= t < 1) and every other row's dot
-    product with u is divisible by den (the lifted point is integral).
+    one t = A^-1 y.  With den = |det A| and adj = den A^-1, the adjugate
+    signed by det A, u = adj y = den t; y counts when every entry of u lies
+    in [0, den) (0 <= t < 1) and every other row's dot product with u is
+    divisible by den (the lifted point is integral).
 
     Dependent columns give 0 (the brick is degenerate).  Raises when the
     box would hold more than SEMIOPEN_DIRECT_MAX points."""
@@ -84,13 +70,15 @@ def semiopen_count_direct(columns: Sequence[Sequence[int]]) -> int:
         raise ValueError("ragged columns")
     rows = list(zip(*columns))
     for picked in combinations(range(len(rows)), k):
-        inv = _invert([rows[i] for i in picked])
-        if inv is not None:
+        block = [rows[i] for i in picked]
+        if det := det_rows(block):
             break
     else:
         return 0
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    adj = [[int(x * den) for x in row] for row in inv]
+    den, sign = abs(det), (1 if det > 0 else -1)
+    # adj[i][j]: sign (-1)^(i+j) times the minor of A without row j and column i
+    adj = [[sign * (-1) ** (i + j) * det_rows([r[:i] + r[i + 1:] for r in block[:j] + block[j + 1:]])
+            for j in range(k)] for i in range(k)]
     ranges = []
     size = 1
     for i in picked:
@@ -107,6 +95,84 @@ def semiopen_count_direct(columns: Sequence[Sequence[int]]) -> int:
         if all(0 <= v < den for v in u) and all(sum(map(mul, row, u)) % den == 0 for row in others):
             count += 1
     return count
+
+
+def generator_selections(n: int, sizes: Iterable[int]) -> Iterator[tuple[tuple, tuple]]:
+    """Every cyclopermutohedron generator selection (edges, marks) with
+    |edges| + |marks| in `sizes`: edges in lexicographic order, marks
+    ascending.  Singular selections are yielded too; nothing is pruned."""
+    all_edges = list(combinations(range(1, n + 1), 2))
+    for size in sizes:
+        for icount in range(size + 1):
+            for edges in combinations(all_edges, icount):
+                for marks in combinations(range(1, n + 1), size - icount):
+                    yield edges, marks
+
+
+def integer_partitions(total: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of `total` into weakly decreasing positive parts."""
+    if total < 0:
+        raise ValueError("total must be non-negative")
+
+    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    yield from rec(total, total)
+
+
+def _labelings(parts: tuple[int, ...]) -> int:
+    """Number of set partitions of [sum(parts)] with the given block sizes."""
+    count = math.factorial(sum(parts))
+    for p in parts:
+        count //= math.factorial(p)
+    for m in Counter(parts).values():  # blocks of one size are unordered
+        count //= math.factorial(m)
+    return count
+
+
+def forest_sums_by_partitions(n: int) -> tuple[int, int]:
+    """(phi(n), Phi(n)) summed over the integer partitions of n: the
+    labelings count times a Cayley factor per block, Phi weighting each
+    term by the gcd of the parts.  Super-polynomial in n."""
+    phi = gcd_sum = 0
+    for parts in integer_partitions(n):
+        count = _labelings(parts)
+        for p in parts:
+            count *= p ** max(p - 2, 0)
+        phi += count
+        gcd_sum += count * math.gcd(*parts)
+    return phi, gcd_sum
+
+
+def hits_wall_by_subsets(lengths) -> bool:
+    """Whether some subset of the lengths sums to half their total."""
+    half = sum(lengths) / 2
+    return any(sum(sub) == half for r in range(1, len(lengths) + 1) for sub in combinations(lengths, r))
+
+
+def profile_by_subsets(spec: LinkageSpec) -> tuple[int, ...]:
+    """a_k by testing every k-subset S of the first n bars for S + {last bar}
+    short.  Exponential in n."""
+    n = spec.n
+    return tuple(
+        sum(1 for s in combinations(range(1, n + 1), k) if is_short(spec, set(s) | {n + 1}))
+        for k in range(n + 1)
+    )
+
+
+def f_vector_by_partitions(spec: LinkageSpec) -> tuple[int, ...]:
+    """f[k] from the enumerated all-short set partitions into n+1-k blocks,
+    (n-k)! cyclic arrangements each.  Bell(n+1) partitions."""
+    n = spec.n
+    counts = [0] * (n + 2)  # counts[m]: partitions into m blocks
+    for blocks in _admissible_partitions(spec):
+        counts[len(blocks)] += 1
+    return tuple(counts[n + 1 - k] * math.factorial(n - k) for k in range(n - 1))
 
 
 def _angle_cmp(p: tuple[int, int], q: tuple[int, int]) -> int:

@@ -1,8 +1,9 @@
 """Cross-checks between independent computation routes.
 
-Each check pits a closed form against a brute-force or structurally
-different route and reports pass/fail; run_all drives the CLI `verify`
-subcommand.  A failure means two routes that must agree did not.
+Each check pits a closed form against a brute-force route from `oracle`
+or a structurally different route and reports pass/fail; run_all drives
+the CLI `verify` subcommand.  A failure means two routes that must agree
+did not.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import forests, intlin, linkage, oracle, zonotope
 
@@ -40,50 +40,6 @@ def _check_prufer_roundtrip(n_max: int, jobs: int) -> str:
     return f"decoded trees are distinct spanning trees, n^(n-2) of them, for n <= {top}"
 
 
-def _integer_partitions(total: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of `total` into weakly decreasing positive parts."""
-    if total < 0:
-        raise ValueError("total must be non-negative")
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(total, total)
-
-
-def _labelings(parts: tuple[int, ...]) -> int:
-    """Number of set partitions of [sum(parts)] with the given block sizes."""
-    n = sum(parts)
-    count = math.factorial(n)
-    for p in parts:
-        count //= math.factorial(p)
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
-
-
-def _forest_sums_by_partitions(n: int) -> tuple[int, int]:
-    """(phi(n), Phi(n)) summed over the integer partitions of n: the
-    labelings count times a Cayley factor per block, Phi weighting each
-    term by the gcd of the parts.  Super-polynomial in n."""
-    phi = gcd_sum = 0
-    for parts in _integer_partitions(n):
-        count = _labelings(parts)
-        for p in parts:
-            count *= p ** max(p - 2, 0)
-        phi += count
-        gcd_sum += count * math.gcd(*parts)
-    return phi, gcd_sum
-
-
 def _check_forest_counts(n_max: int, jobs: int) -> str:
     known = {1: 1, 2: 2, 3: 7, 4: 38, 5: 291}
     for n, value in known.items():
@@ -93,7 +49,7 @@ def _check_forest_counts(n_max: int, jobs: int) -> str:
         _require(forests.forest_gcd_sum(v) == value, f"Phi({v}) != {value}")
     sums_top = 20  # the partition sums take tens of ms up to here
     for n in range(1, sums_top + 1):
-        phi, gcd_sum = _forest_sums_by_partitions(n)
+        phi, gcd_sum = oracle.forest_sums_by_partitions(n)
         _require(forests.forest_count(n) == phi, f"phi({n}) mismatch vs partition sum")
         _require(forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs partition sum")
     top = min(n_max, 5)
@@ -147,7 +103,7 @@ def _check_determinant_lemma(n_max: int, jobs: int) -> str:
             _require(radial == n ** d.mark_count * d.free_tree_size, f"radial det != n^m N(F) at n={n}")
             decorated.add((d.forest.edges, tuple(sorted(d.marked))))
         # every other selection of n - 1 edge and radial columns is singular
-        for edges, marks in zonotope._selections(n, (n - 1,)):
+        for edges, marks in oracle.generator_selections(n, (n - 1,)):
             det = intlin.det_rows(zonotope._columns(n, edges, marks) + [ones])
             _require(
                 (det != 0) == ((edges, marks) in decorated),
@@ -190,17 +146,14 @@ def _check_sharp_routes(n_max: int, jobs: int) -> str:
         p = forests.PartialDecoratedForest(forests.LabeledForest(6, edges), [mark])
         cols = zonotope.forest_columns(p)
         _require(zonotope.sharp_of_partial_forest(p) == expected, f"sharp of worked forest {edges}")
-        minors = intlin.semiopen_lattice_count(cols)
-        _require(minors == expected, f"minors of worked forest {edges}")
         _require(oracle.semiopen_count_direct(cols) == expected, f"scan of worked forest {edges}")
     top = min(n_max, 4)
     for n in range(2, top + 1):
         for p in forests.enumerate_partial_decorated_forests(n):
             cols = zonotope.forest_columns(p)
             s = zonotope.sharp_of_partial_forest(p)
-            _require(s == intlin.semiopen_lattice_count(cols), f"sharp vs minors at n={n}")
             _require(s == oracle.semiopen_count_direct(cols), f"sharp vs scan at n={n}")
-    return f"sharp formula == minor gcd == point scan for n <= {top} and worked matrices"
+    return f"sharp formula == point scan for n <= {top} and worked matrices"
 
 
 def _check_permutohedron(n_max: int, jobs: int) -> str:
@@ -249,34 +202,6 @@ def _check_linkage_volumes(n_max: int, jobs: int) -> str:
     return f"three named + {checked} random linkages agree across routes; equilateral display flagged"
 
 
-def _hits_wall_by_subsets(lengths) -> bool:
-    """Whether some subset of the lengths sums to half their total."""
-    half = sum(lengths) / 2
-    return any(
-        sum(sub) == half for r in range(1, len(lengths) + 1) for sub in combinations(lengths, r)
-    )
-
-
-def _profile_by_subsets(spec: linkage.LinkageSpec) -> tuple[int, ...]:
-    """a_k by testing every k-subset S of the first n bars for S + {last bar}
-    short.  Exponential in n."""
-    n = spec.n
-    return tuple(
-        sum(1 for s in combinations(range(1, n + 1), k) if linkage.is_short(spec, set(s) | {n + 1}))
-        for k in range(n + 1)
-    )
-
-
-def _f_vector_by_partitions(spec: linkage.LinkageSpec) -> tuple[int, ...]:
-    """f[k] from the enumerated all-short set partitions into n+1-k blocks,
-    (n-k)! cyclic arrangements each.  Bell(n+1) partitions."""
-    n = spec.n
-    counts = [0] * (n + 2)  # counts[m]: partitions into m blocks
-    for blocks in linkage._admissible_partitions(spec):
-        counts[len(blocks)] += 1
-    return tuple(counts[n + 1 - k] * math.factorial(n - k) for k in range(n - 1))
-
-
 def _check_linkage_topology(n_max: int, jobs: int) -> str:
     named = [
         (("1.2", 1, 1, "0.8", "2.2"), (1, 2, 1), (24, 42, 18), 0),
@@ -291,8 +216,8 @@ def _check_linkage_topology(n_max: int, jobs: int) -> str:
     rng = random.Random(31337)
     for bars in range(4, 10):
         spec = _random_linkage(rng, bars)
-        _require(linkage.a_profile(spec) == _profile_by_subsets(spec), f"a-profile of {spec.lengths}")
-        _require(linkage.f_vector(spec) == _f_vector_by_partitions(spec), f"f-vector of {spec.lengths}")
+        _require(linkage.a_profile(spec) == oracle.profile_by_subsets(spec), f"a-profile of {spec.lengths}")
+        _require(linkage.f_vector(spec) == oracle.f_vector_by_partitions(spec), f"f-vector of {spec.lengths}")
         b = linkage.betti_vector(spec)
         _require(b == b[::-1], f"betti not symmetric for {spec.lengths}")
         chi = sum((-1) ** k * x for k, x in enumerate(b))
@@ -307,7 +232,7 @@ def _check_linkage_topology(n_max: int, jobs: int) -> str:
             hit = True
         except linkage.TriangleViolationError:  # raised only past the wall check
             hit = False
-        _require(hit == _hits_wall_by_subsets(lengths), f"wall check of {lengths}")
+        _require(hit == oracle.hits_wall_by_subsets(lengths), f"wall check of {lengths}")
         walls += hit
     return (
         "betti, f-vectors, Euler characteristics consistent on named and random linkages; "

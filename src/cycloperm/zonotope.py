@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from .forests import (
     DecoratedForest,
@@ -52,19 +51,7 @@ def ones_vector(n: int) -> tuple[int, ...]:
     return (1,) * n
 
 
-# --- generator selections and their columns ---
-
-
-def _selections(n: int, sizes: Iterable[int]) -> Iterator[tuple[tuple, tuple]]:
-    """Every generator selection (edges, marks) with |edges| + |marks| in
-    `sizes`: edges in lexicographic order, marks ascending.  Singular
-    selections are yielded too; nothing is pruned."""
-    all_edges = list(combinations(range(1, n + 1), 2))
-    for size in sizes:
-        for icount in range(size + 1):
-            for edges in combinations(all_edges, icount):
-                for marks in combinations(range(1, n + 1), size - icount):
-                    yield edges, marks
+# --- generator columns ---
 
 
 def _columns(n: int, edges, marks) -> list[tuple[int, ...]]:
@@ -155,11 +142,11 @@ def _walk(n: int, tables, root: dict[int, int], depth: int, worker: int = 0, wor
 
 def _parallel_sum(route_pass, n: int, jobs: int) -> int:
     """route_pass(n, worker, workers) summed over the workers.  With
-    jobs > 1 and n >= 6, each of min(jobs, cpu_count()) fork-pool workers
-    runs its own share of the walk's top-level branches."""
+    jobs > 1 and n >= 7 (at n = 6 the serial walk wins), each of min(jobs,
+    cpu_count()) fork-pool workers runs its share of the top-level branches."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and n >= 6:
+    if jobs > 1 and n >= 7:
         import multiprocessing as mp
 
         workers = min(jobs, mp.cpu_count())

@@ -171,10 +171,11 @@ def test_points_methods_agree(capsys):
 
 
 def test_jobs_flag(capsys):
-    base = _capture(capsys, ["cyclo", "volume", "--n", "6", "--method", "brute"])
-    para = _capture(capsys, ["cyclo", "volume", "--n", "6", "--method", "brute", "--jobs", "2"])
+    # n = 7 is the first n that forks the pool; the forest sum stands in for a serial brute run
+    para = _capture(capsys, ["cyclo", "volume", "--n", "7", "--method", "brute", "--jobs", "2"])
+    base = _capture(capsys, ["cyclo", "volume", "--n", "7", "--method", "forests"])
     assert base[0] == para[0] == 0
-    assert base[1] == para[1]
+    assert base[1].replace("method=forests", "method=brute") == para[1]
 
 
 def test_jobs_below_one_rejected(capsys, monkeypatch):
@@ -336,6 +337,16 @@ def test_invalid_lengths_named_before_the_table_budget(capsys, monkeypatch):
         assert _capture(capsys, ["linkage", "betti", "--lengths", text]) == (2, "", f"error: {reason}\n")
 
 
+def test_triangle_violation_named_before_the_table_budget(capsys, monkeypatch):
+    # 299 bars over distinct 200-digit denominators and a last bar longer
+    # than all of them together: the O(n) triangle check answers
+    bars = [f"1/{10**199 + i}" for i in reversed(range(299))]
+    monkeypatch.setattr(linkage, "_table_bound", lambda ints, cap: pytest.fail("table bound started"))
+    for sub in ("volume", "cells"):
+        argv = ["linkage", sub, "--lengths", ",".join(bars + ["1"])]
+        assert _capture(capsys, argv) == (2, "", "error: longest bar is at least half the perimeter\n")
+
+
 def test_linkage_cells_bar_cap(capsys, monkeypatch):
     code, out, _ = _capture(capsys, ["linkage", "cells", "--lengths", ",".join(["1"] * 301)])
     assert code == 0
@@ -416,6 +427,24 @@ def test_unprintable_result_exits_2(capsys):
         code, out, err = _capture(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "error: result has more than 4300 digits; too large to print\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_unprintable_abel_refused_before_the_work(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default limit
+    message = "error: result has more than 4300 digits; too large to print\n"
+    try:
+        # about 1.2 million digits: the bit lengths refuse it before abel_eval runs
+        with monkeypatch.context() as patched:
+            patched.setattr(forests, "abel_eval", lambda n, a, x: pytest.fail("abel_eval started"))
+            argv = ["forests", "abel", "--n", "300", "--a", "1/" + "7" * 4000, "--x", "1/7"]
+            assert _capture(capsys, argv) == (2, "", message)
+        # 10^4300, 4301 digits: under the bit-length bound, so _render refuses it
+        argv = ["forests", "abel", "--n", "2", "--a=-" + "9" * 4300 + "/2", "--x", "1"]
+        assert _capture(capsys, argv) == (2, "", message)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -25,7 +25,7 @@ from cycloperm.forests import (
     set_partitions,
     trees_on,
 )
-from cycloperm.verification import _forest_sums_by_partitions
+from cycloperm.oracle import forest_sums_by_partitions
 
 # --- independent brute-force oracle (DFS cycle check, no shared code) ---
 
@@ -267,7 +267,7 @@ def test_forest_table_state_cannot_change_an_answer(order):
     # each example builds the shared tables from empty in its own order
     with mock.patch.dict(forests._DIVISIBLE_TABLES, clear=True):
         for n in order:
-            assert (forest_count(n), forest_gcd_sum(n)) == _forest_sums_by_partitions(n)
+            assert (forest_count(n), forest_gcd_sum(n)) == forest_sums_by_partitions(n)
 
 
 # --- rooted forest counts and Abel polynomials ---

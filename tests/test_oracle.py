@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cycloperm.cli import approx_string
 from cycloperm.forests import enumerate_partial_decorated_forests
-from cycloperm.intlin import semiopen_lattice_count
 from cycloperm.oracle import (
     SEMIOPEN_DIRECT_MAX,
     hexagon_area_direct,
@@ -21,7 +20,7 @@ from cycloperm.zonotope import (
     permutohedron_volume,
     sharp_of_partial_forest,
 )
-from tests.test_intlin import WORKED_MATRICES
+from tests.test_intlin import WORKED_MATRICES, minor_gcd
 
 
 def test_permutohedron_points_direct():
@@ -42,10 +41,14 @@ def test_semiopen_direct_basics():
     assert semiopen_count_direct([(2, 2)]) == 2
     assert semiopen_count_direct([(1, 2), (2, 4)]) == 0
     assert semiopen_count_direct([(1, 0), (1, 2)]) == 2
+    assert semiopen_count_direct([(1, 0), (0, 1)]) == 1
+    assert semiopen_count_direct([(2, 0), (0, 3)]) == 6
+    assert semiopen_count_direct([(0, 0)]) == 0
     # more columns than rows can never be independent
     assert semiopen_count_direct([(1,), (2,)]) == 0
-    with pytest.raises(ValueError, match="ragged columns"):
-        semiopen_count_direct([(1, 0), (1,)])
+    for columns in ([(1, 0), (1,)], [(1,), (1, 0)], [(1, 2, 3), (0, 1)]):
+        with pytest.raises(ValueError, match="ragged columns"):
+            semiopen_count_direct(columns)
     # the box of 2001^2 points is over the limit
     assert 2001 ** 2 > SEMIOPEN_DIRECT_MAX
     with pytest.raises(ValueError, match="bounding box exceeds"):
@@ -63,7 +66,7 @@ def test_semiopen_direct_matches_minor_gcd_random():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, min(rows, 3))
         columns = list(zip(*[[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]))
-        assert semiopen_count_direct(columns) == semiopen_lattice_count(columns)
+        assert semiopen_count_direct(columns) == minor_gcd(columns)
 
 
 @settings(max_examples=150, deadline=None)
@@ -81,7 +84,7 @@ def test_semiopen_direct_matches_minor_gcd_random():
 def test_semiopen_direct_matches_minor_gcd(rows):
     # dependent columns (count 0) come up too
     columns = list(zip(*rows))
-    assert semiopen_count_direct(columns) == semiopen_lattice_count(columns)
+    assert semiopen_count_direct(columns) == minor_gcd(columns)
 
 
 def test_semiopen_direct_matches_sharp_formula():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cycloperm import forests, verification, zonotope
-from cycloperm.verification import _integer_partitions as integer_partitions
+from cycloperm.oracle import integer_partitions
 
 
 def test_integer_partitions():

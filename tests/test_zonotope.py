@@ -15,12 +15,12 @@ from cycloperm.forests import (
     PartialDecoratedForest,
     enumerate_partial_decorated_forests,
 )
-from cycloperm.intlin import det_rows, semiopen_lattice_count
+from cycloperm.intlin import det_rows
+from cycloperm.oracle import generator_selections
 from cycloperm.zonotope import (
     NormalizedVolume,
     _columns,
     _generators,
-    _selections,
     _walk,
     _wedge_tables,
     edge_vector,
@@ -36,6 +36,7 @@ from cycloperm.zonotope import (
     volume_by_forests,
     volume_closed_form,
 )
+from tests.test_intlin import minor_gcd
 
 
 def test_generator_vectors():
@@ -78,7 +79,8 @@ def test_volume_vanishes():
 
 
 def test_volume_bruteforce_jobs():
-    assert volume_bruteforce(6, jobs=2) == volume_bruteforce(6)
+    # n = 7 is the first n that forks the pool
+    assert volume_bruteforce(7, jobs=2) == volume_closed_form(7)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             volume_bruteforce(5, jobs=jobs)
@@ -133,7 +135,7 @@ def test_strided_passes_cover_every_selection_once(n, volume_sizes, workers):
                 seen.extend(selection + (g,) for g in range(first, len(tables)))
     assert len(set(seen)) == len(seen)
     sizes = (n - 1,) if volume_sizes else range(n)
-    serial = list(_selections(n, sizes))
+    serial = list(generator_selections(n, sizes))
     assert sorted(_split(n, s) for s in seen) == sorted(serial)
     generators = n * (n + 1) // 2
     if volume_sizes:
@@ -172,7 +174,7 @@ def _ones_column_identity(n, edges, marks):
 
 def test_det_with_ones_column_is_n_times_top_minor():
     for n in range(2, 6):
-        for edges, marks in _selections(n, (n - 1,)):
+        for edges, marks in generator_selections(n, (n - 1,)):
             _ones_column_identity(n, edges, marks)
 
 
@@ -188,7 +190,7 @@ def test_dropped_row_keeps_the_brick_count():
     for n in range(2, 6):
         for selection, state, _ in _walk(n, _wedge_tables(n, n - 1), {0: 1}, n - 1):
             columns = _columns(n, *_split(n, selection))
-            assert math.gcd(*state.values()) == semiopen_lattice_count(columns)
+            assert math.gcd(*state.values()) == minor_gcd(columns)
 
 
 # --- sharp and lattice counts ---
@@ -205,7 +207,7 @@ def test_sharp_examples():
 def test_sharp_matches_minor_gcd():
     for n in range(2, 6):
         for p in enumerate_partial_decorated_forests(n):
-            assert sharp_of_partial_forest(p) == semiopen_lattice_count(forest_columns(p))
+            assert sharp_of_partial_forest(p) == minor_gcd(forest_columns(p))
 
 
 def test_lattice_count_known_values():
@@ -222,7 +224,7 @@ def test_lattice_count_routes_agree_n5():
 
 
 def test_lattice_count_jobs():
-    assert lattice_count_bruteforce(6, jobs=2) == lattice_count_closed_form(6)
+    assert lattice_count_bruteforce(7, jobs=2) == lattice_count_closed_form(7)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             lattice_count_bruteforce(4, jobs=jobs)
