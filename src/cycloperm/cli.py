@@ -11,6 +11,7 @@ rendering.  Exit codes: 0 success, 2 invalid input, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from decimal import Decimal, localcontext
@@ -59,12 +60,9 @@ def approx_string(coeff: Fraction, radicand: int) -> str:
     return format(val, "e")
 
 
-# Largest n that forests phi/Phi/abel, perm volume/points, cyclo volume
-# --method forests and cyclo points --method closed accept, the largest
-# verify --n-max, and the largest n = bars - 1 of every linkage command,
-# checked before the table bound; n = 300 takes under a second cold (301
-# equal bars: 0.14-0.18 s and 16-21 MB, the most for cells, whose Stirling
-# rows grow as bars^2 big integers).
+# n = 300 takes under a second cold on every capped command (the most:
+# linkage cells on 301 equal bars, 0.14-0.18 s and 16-21 MB, its Stirling
+# rows growing as bars^2 big integers).
 CLOSED_N_MAX = 300
 
 # Largest bound on the steps of the subset-sum table behind every linkage
@@ -76,9 +74,10 @@ _LINKAGE_TABLE_CAP = 3_000_000
 
 
 def _digit_limit() -> int:
-    """Python's limit on the digits of an int-str conversion; 0 for none
-    (Python 3.10 has no limit)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """Python's limit on the digits of an int-str conversion, or its
+    default 4300 where the interpreter has none (PYTHONINTMAXSTRDIGITS=0,
+    or Python 3.10.0-3.10.6)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?\s*", re.ASCII)
@@ -91,7 +90,7 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
     limit = _digit_limit()
-    if limit and any(len(run) > limit for run in re.findall("[0-9]+", text)):
+    if any(len(run) > limit for run in re.findall("[0-9]+", text)):
         raise ValueError(f"numeral has more than {limit} digits; too large to read")
     return Fraction(text)
 
@@ -102,99 +101,88 @@ def parse_lengths(text: str) -> list[Fraction]:
     return [parse_rational(p) for p in text.split(",")]
 
 
-def _volume_record(quantity: str, vol: NormalizedVolume, method: str, n: int) -> ResultRecord:
-    return ResultRecord(quantity, vol.coeff, vol.radicand, method, n)
-
-
-def _int_record(quantity: str, value: int | Fraction, method: str, n: int) -> ResultRecord:
+def _record(quantity: str, value, method: str, n: int) -> ResultRecord:
+    if isinstance(value, NormalizedVolume):
+        return ResultRecord(quantity, value.coeff, value.radicand, method, n)
     return ResultRecord(quantity, Fraction(value), 1, method, n)
 
 
-def _closed_n(n: int) -> int:
-    """n, once it is within the cap of the closed and forest-sum routes."""
-    if n > CLOSED_N_MAX:
-        raise ValueError(f"n={n} exceeds the cap n <= {CLOSED_N_MAX} of the closed and forest-sum routes")
-    return n
+# The single-n routes: (group, sub, method) -> (module, function, largest n);
+# the method is the record's label.  A brute row leaves its cap to the
+# function, which refuses before any walk.
+_ROUTES = {
+    ("cyclo", "volume", "brute"): ("zonotope", "volume_bruteforce", None),
+    ("cyclo", "volume", "forests"): ("zonotope", "volume_by_forests", CLOSED_N_MAX),
+    ("cyclo", "volume", "closed"): ("zonotope", "volume_closed_form", None),
+    ("cyclo", "points", "brute"): ("zonotope", "lattice_count_bruteforce", None),
+    ("cyclo", "points", "closed"): ("zonotope", "lattice_count_closed_form", CLOSED_N_MAX),
+    ("perm", "volume", "closed"): ("zonotope", "permutohedron_volume", CLOSED_N_MAX),
+    ("perm", "points", "closed"): ("zonotope", "permutohedron_lattice_count", CLOSED_N_MAX),
+    ("forests", "phi", "partition-sum"): ("forests", "forest_count", CLOSED_N_MAX),
+    ("forests", "Phi", "partition-sum"): ("forests", "forest_gcd_sum", CLOSED_N_MAX),
+}
 
 
-def _run_cyclo(args) -> list[ResultRecord]:
-    from . import zonotope
+def _closed_cap_error(n: int) -> ValueError:
+    return ValueError(f"n={n} exceeds the cap n <= {CLOSED_N_MAX} of the closed and forest-sum routes")
 
+
+def _run_route(args) -> list[ResultRecord]:
+    module, function, cap = _ROUTES[args.group, args.sub, args.method]
     n = args.n
-    if args.sub == "volume":
-        method = args.method or "forests"
-        if method == "brute":
-            vol = zonotope.volume_bruteforce(n, jobs=args.jobs)
-        elif method == "forests":
-            vol = zonotope.volume_by_forests(_closed_n(n))
-        else:
-            vol = zonotope.volume_closed_form(n)
-        return [_volume_record("cyclo.volume", vol, method, n)]
-    method = args.method or "closed"
-    if method == "brute":
-        value = zonotope.lattice_count_bruteforce(n, jobs=args.jobs)
-    else:
-        value = zonotope.lattice_count_closed_form(_closed_n(n))
-    return [_int_record("cyclo.points", value, method, n)]
-
-
-def _run_perm(args) -> list[ResultRecord]:
-    from . import zonotope
-
-    n = args.n
-    if args.sub == "volume":
-        return [_volume_record("perm.volume", zonotope.permutohedron_volume(_closed_n(n)), "closed", n)]
-    return [_int_record("perm.points", zonotope.permutohedron_lattice_count(_closed_n(n)), "closed", n)]
+    if cap is not None and n > cap:
+        raise _closed_cap_error(n)
+    route = getattr(importlib.import_module(f".{module}", __package__), function)
+    value = route(n, jobs=args.jobs) if args.method == "brute" else route(n)
+    return [_record(f"{args.group}.{args.sub}", value, args.method, n)]
 
 
 def _run_linkage(args) -> list[ResultRecord]:
     from . import linkage as linkage_mod
 
     lengths = parse_lengths(args.lengths)
-    if len(lengths) - 1 > CLOSED_N_MAX:
-        raise ValueError(f"n={len(lengths) - 1} (bars - 1) exceeds the cap n <= {CLOSED_N_MAX} of linkage {args.sub}")
-    # the O(n) checks of validation name invalid lengths before the bound
-    bound = linkage_mod._table_bound(linkage_mod._scaled_lengths(lengths)[1], _LINKAGE_TABLE_CAP)
-    if bound > _LINKAGE_TABLE_CAP:
+    n = len(lengths) - 1
+    if n > CLOSED_N_MAX:
+        raise ValueError(f"n={n} (bars - 1) exceeds the cap n <= {CLOSED_N_MAX} of linkage {args.sub}")
+    ints = linkage_mod._scaled_lengths(lengths)[1]  # the O(n) checks of validation name invalid lengths first
+    if args.method == "forests" and n > linkage_mod.EQUILATERAL_FOREST_MAX:
+        raise ValueError(f"n={n} exceeds bound={linkage_mod.EQUILATERAL_FOREST_MAX}; use moduli_volume_theorem")
+    if linkage_mod._table_bound(ints, _LINKAGE_TABLE_CAP) > _LINKAGE_TABLE_CAP:
         raise ValueError(
             f"the subset-sum table of these lengths may take more than {_LINKAGE_TABLE_CAP} steps, "
             "the cap of the linkage commands; use fewer bars or fewer distinct denominators"
         )
     spec = linkage_mod.validate(lengths)
-    n = spec.n
+    method = args.method
     if args.sub == "volume":
-        method = args.method or "theorem"
         if method == "forests":
             vol = linkage_mod.moduli_volume_forests(spec)
         else:
             vol = linkage_mod.moduli_volume_theorem(spec)
-        return [_volume_record("linkage.volume", vol, method, n)]
+        return [_record("linkage.volume", vol, method, n)]
     if args.sub == "betti":
         return [
-            _int_record(f"linkage.betti[{k}]", b, "a-profile", n)
+            _record(f"linkage.betti[{k}]", b, method, n)
             for k, b in enumerate(linkage_mod.betti_vector(spec))
         ]
     if args.sub == "aprofile":
         return [
-            _int_record(f"linkage.a[{k}]", a, "short-sets", n)
+            _record(f"linkage.a[{k}]", a, method, n)
             for k, a in enumerate(linkage_mod.a_profile(spec))
         ]
     fvec = linkage_mod.f_vector(spec)
-    records = [_int_record(f"linkage.f[{k}]", f, "cell-complex", n) for k, f in enumerate(fvec)]
+    records = [_record(f"linkage.f[{k}]", f, method, n) for k, f in enumerate(fvec)]
     euler = sum((-1) ** k * f for k, f in enumerate(fvec))
-    records.append(_int_record("linkage.euler", euler, "cell-complex", n))
+    records.append(_record("linkage.euler", euler, method, n))
     return records
 
 
-def _run_forests(args) -> list[ResultRecord]:
+def _run_abel(args) -> list[ResultRecord]:
     from . import forests as forests_mod
 
-    n = args.n
-    if args.sub == "phi":
-        return [_int_record("forests.phi", forests_mod.forest_count(_closed_n(n)), "partition-sum", n)]
-    if args.sub == "Phi":
-        return [_int_record("forests.Phi", forests_mod.forest_gcd_sum(_closed_n(n)), "partition-sum", n)]
-    n, a, x = _closed_n(n), parse_rational(args.a), parse_rational(args.x)
+    if args.n > CLOSED_N_MAX:
+        raise _closed_cap_error(args.n)
+    n, a, x = args.n, parse_rational(args.a), parse_rational(args.x)
     # in lowest terms x y^(n-1), y = x - a n, has a numerator of at least |num y|^(n-1)
     # / den x and a denominator of at least (den y)^(n-1) / |num x|; refuse before the
     # power when one exceeds 2^bits >= 10^limit (3.322 > log2(10)), else leave it to _render
@@ -203,21 +191,23 @@ def _run_forests(args) -> list[ResultRecord]:
         (abs(y.numerator).bit_length() - 1) * (n - 1) - x.denominator.bit_length(),
         (y.denominator.bit_length() - 1) * (n - 1) - abs(x.numerator).bit_length(),
     )
-    if limit and x and bits * 1000 >= limit * 3322:
+    if x and bits * 1000 >= limit * 3322:
         raise ValueError(f"result has more than {limit} digits; too large to print")
-    return [_int_record("forests.abel", forests_mod.abel_eval(n, a, x), "closed", n)]
+    return [_record("forests.abel", forests_mod.abel_eval(n, a, x), "closed", n)]
 
 
 def _render(records: list[ResultRecord], fmt: str) -> str:
-    try:
-        if fmt == "json":
-            import json
+    # an integer prints in at most `limit` digits iff it is below 10^limit; checked here
+    # rather than left to str(), which has no limit under PYTHONINTMAXSTRDIGITS=0
+    limit = _digit_limit()
+    if any(max(abs(r.coeff.numerator), r.coeff.denominator, r.radicand, r.n) >= 10**limit for r in records):
+        raise ValueError(f"result has more than {limit} digits; too large to print")
+    if fmt == "json":
+        import json
 
-            payload = [r.to_dict() for r in records]
-            return json.dumps(payload[0] if len(payload) == 1 else payload)
-        return "\n".join(r.to_text() for r in records)
-    except ValueError:  # str() refuses integers longer than the limit
-        raise ValueError(f"result has more than {_digit_limit()} digits; too large to print") from None
+        payload = [r.to_dict() for r in records]
+        return json.dumps(payload[0] if len(payload) == 1 else payload)
+    return "\n".join(r.to_text() for r in records)
 
 
 def _run_verify(args) -> int:
@@ -278,27 +268,30 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument(
         "--method",
         choices=("brute", "forests", "closed"),
+        default="forests",
         help="brute: alternating determinant sum; forests: grouped forest sum (default); "
         "closed: 0 for n >= 3, -2/sqrt(2) at n = 2",
     )
     cp = cyclo.add_parser("points", parents=[common, pool], help="signed lattice-point count")
     cp.add_argument("--n", type=_count, required=True)
-    cp.add_argument("--method", choices=("brute", "closed"))
+    cp.add_argument("--method", choices=("brute", "closed"), default="closed")
 
     perm = groups.add_parser("perm", help="permutohedron").add_subparsers(dest="sub", required=True)
     for sub in ("volume", "points"):
         p = perm.add_parser(sub, parents=[common])
         p.add_argument("--n", type=_count, required=True)
+        p.set_defaults(method="closed")
 
     link = groups.add_parser("linkage", help="polygonal linkage configuration space").add_subparsers(
         dest="sub", required=True
     )
     lv = link.add_parser("volume", parents=[common])
     lv.add_argument("--lengths", required=True, help="comma-separated bar lengths, longest last")
-    lv.add_argument("--method", choices=("theorem", "forests"))
-    for sub in ("betti", "cells", "aprofile"):
+    lv.add_argument("--method", choices=("theorem", "forests"), default="theorem")
+    for sub, method in (("betti", "a-profile"), ("cells", "cell-complex"), ("aprofile", "short-sets")):
         lp = link.add_parser(sub, parents=[common])
         lp.add_argument("--lengths", required=True, help="comma-separated bar lengths, longest last")
+        lp.set_defaults(method=method)
 
     fo = groups.add_parser("forests", help="forest counting utilities").add_subparsers(
         dest="sub", required=True
@@ -306,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in ("phi", "Phi"):
         fp = fo.add_parser(sub, parents=[common])
         fp.add_argument("--n", type=_count, required=True)
+        fp.set_defaults(method="partition-sum")
     fa = fo.add_parser("abel", parents=[common])
     fa.add_argument("--n", type=_count, required=True)
     fa.add_argument("--a", required=True, help="rational parameter a")
@@ -314,14 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = groups.add_parser("verify", parents=[common, pool], help="run the cross-check suite")
     ver.add_argument("--n-max", type=_count, default=5, dest="n_max")
     return parser
-
-
-_RUNNERS = {
-    "cyclo": _run_cyclo,
-    "perm": _run_perm,
-    "linkage": _run_linkage,
-    "forests": _run_forests,
-}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -333,7 +319,13 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.group == "verify":
             return _run_verify(args)
-        text = _render(_RUNNERS[args.group](args), args.format)
+        if args.group == "linkage":
+            records = _run_linkage(args)
+        elif args.sub == "abel":
+            records = _run_abel(args)
+        else:
+            records = _run_route(args)
+        text = _render(records, args.format)
     except ValueError as exc:  # includes LinkageError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import importlib
+import io
 import json
 import os
 import random
@@ -10,11 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloperm import forests, linkage, verification, zonotope
-from cycloperm.cli import approx_string, parse_lengths, parse_rational, run
+from cycloperm.cli import _ROUTES, approx_string, parse_lengths, parse_rational, run
 
 
 def _capture(capsys, argv):
@@ -220,30 +223,55 @@ def test_jobs_only_where_a_pool_can_run(capsys, monkeypatch):
         assert _capture(capsys, argv + ["--jobs", "2"])[0] == 0
 
 
-def test_closed_routes_capped(capsys, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started despite n above the cap")
+class _Called(Exception):
+    pass
 
-    monkeypatch.setattr(forests, "forest_count", no_work)
-    monkeypatch.setattr(forests, "forest_gcd_sum", no_work)
-    monkeypatch.setattr(forests, "abel_eval", no_work)
-    monkeypatch.setattr(zonotope, "lattice_count_closed_form", no_work)
-    monkeypatch.setattr(zonotope, "permutohedron_lattice_count", no_work)
-    monkeypatch.setattr(zonotope, "permutohedron_volume", no_work)
-    monkeypatch.setattr(zonotope, "volume_by_forests", no_work)
-    for argv in (
-        ["forests", "phi"],
-        ["forests", "Phi"],
-        ["forests", "abel", "--a", "1", "--x", "1"],
-        ["perm", "points"],
-        ["perm", "volume"],
-        ["cyclo", "points"],
-        ["cyclo", "volume", "--method", "forests"],
-    ):
-        code, out, err = _capture(capsys, argv + ["--n", "301"])
-        assert code == 2
-        assert out == ""
-        assert "exceeds the cap n <= 300" in err
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ROUTES)), st.one_of(st.integers(0, 9), st.integers(295, 305), st.integers(0, 400)))
+def test_closed_routes_capped(key, n):
+    # every row of the route table: n past the row's cap exits 2 before the route runs, and n
+    # within it calls the route once with n; a brute row leaves the cap to the function, which
+    # refuses n outside 2..7 before the walk, and only a brute row gets --jobs
+    group, sub, method = key
+    module, function, cap = _ROUTES[key]
+    # uncapped: the brute rows and the closed volume, 0 for n >= 3
+    assert cap == (None if method == "brute" or key == ("cyclo", "volume", "closed") else 300)
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Called
+
+    argv = [group, sub, "--n", str(n)] + (["--method", method, "--jobs", "2"] if group == "cyclo" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patched, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if method == "brute":
+            patched.setattr(zonotope, "_parallel_sum", record)
+            within = 2 <= n <= 7
+        else:
+            patched.setattr(importlib.import_module(f"cycloperm.{module}"), function, record)
+            within = cap is None or n <= cap
+        if within:
+            with pytest.raises(_Called):
+                run(argv)
+        else:
+            assert run(argv) == 2
+    if not within:
+        assert (out.getvalue(), calls) == ("", [])
+        if method != "brute":
+            assert err.getvalue() == f"error: n={n} exceeds the cap n <= {cap} of the closed and forest-sum routes\n"
+    elif method == "brute":
+        assert [(args[1:], kwargs) for args, kwargs in calls] == [((n, 2), {})]
+    else:
+        assert calls == [((n,), {})]
+
+
+def test_abel_capped_and_phi_at_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(forests, "abel_eval", lambda n, a, x: pytest.fail("abel_eval started"))
+    code, out, err = _capture(capsys, ["forests", "abel", "--a", "1", "--x", "1", "--n", "301"])
+    assert (code, out) == (2, "")
+    assert err == "error: n=301 exceeds the cap n <= 300 of the closed and forest-sum routes\n"
     monkeypatch.undo()
     code, out, _ = _capture(capsys, ["forests", "phi", "--n", "300"])
     assert code == 0
@@ -345,6 +373,14 @@ def test_triangle_violation_named_before_the_table_budget(capsys, monkeypatch):
     for sub in ("volume", "cells"):
         argv = ["linkage", sub, "--lengths", ",".join(bars + ["1"])]
         assert _capture(capsys, argv) == (2, "", "error: longest bar is at least half the perimeter\n")
+
+
+def test_forest_route_bound_refused_before_the_table(capsys, monkeypatch):
+    # the forest route enumerates decorated forests; past its bound no table is built
+    monkeypatch.setattr(linkage, "_table_bound", lambda ints, cap: pytest.fail("table bound started"))
+    monkeypatch.setattr(linkage, "validate", lambda lengths: pytest.fail("validation started"))
+    argv = ["linkage", "volume", "--lengths", "1,1,1,1,1,1,1,2", "--method", "forests"]
+    assert _capture(capsys, argv) == (2, "", "error: n=7 exceeds bound=6; use moduli_volume_theorem\n")
 
 
 def test_linkage_cells_bar_cap(capsys, monkeypatch):
@@ -468,6 +504,30 @@ def test_unreadable_numeral_exits_2(capsys, argv):
         assert err == "error: numeral has more than 4300 digits; too large to read\n"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("no_limit", ["zero", "absent"])
+def test_digit_cap_without_an_interpreter_limit(capsys, monkeypatch, no_limit):
+    # no limit: PYTHONINTMAXSTRDIGITS=0 reports 0; Python 3.10.0-3.10.6 has no get_int_max_str_digits
+    unprintable = "error: result has more than 4300 digits; too large to print\n"
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if previous:
+        sys.set_int_max_str_digits(0)
+    if no_limit == "absent":
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    try:
+        # 10^4300, 4301 digits: under the bit-length bound, so the render check refuses it
+        argv = ["forests", "abel", "--n", "2", "--a=-" + "9" * 4300 + "/2", "--x", "1"]
+        assert _capture(capsys, argv) == (2, "", unprintable)
+        with monkeypatch.context() as patched:
+            patched.setattr(forests, "abel_eval", lambda n, a, x: pytest.fail("abel_eval started"))
+            argv = ["forests", "abel", "--n", "300", "--a", "1/" + "7" * 4000, "--x", "1/7"]
+            assert _capture(capsys, argv) == (2, "", unprintable)
+        argv = ["linkage", "volume", "--lengths", "1,1,1." + "1" * 5000]
+        assert _capture(capsys, argv) == (2, "", "error: numeral has more than 4300 digits; too large to read\n")
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
 
 
 def test_verify_ok(capsys):
