@@ -304,7 +304,25 @@ def _forests_divisible(d: int, n: int) -> list[int]:
 
 
 def _totient(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+    """Euler's totient by trial division: d times (1 - 1/p) for each prime
+    p dividing d."""
+    result = rest = d
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
+# v -> Phi(v), kept for the life of the process like the F_d tables: each
+# entry is computed once, from the tables of the divisors of v only (a sieve
+# over every v would build a table for every d <= v).
+_GCD_SUMS: dict[int, int] = {}
 
 
 def forest_count(n: int) -> int:
@@ -321,7 +339,12 @@ def forest_gcd_sum(v: int) -> int:
     sum_{d | v} totient(d) F_d(v), because gcd = sum_{d | gcd} totient(d)."""
     if v < 1:
         raise ValueError("v must be positive")
-    return sum(_totient(d) * _forests_divisible(d, v)[v] for d in range(1, v + 1) if v % d == 0)
+    total = _GCD_SUMS.get(v)
+    if total is None:
+        total = _GCD_SUMS[v] = sum(
+            _totient(d) * _forests_divisible(d, v)[v] for d in range(1, v + 1) if v % d == 0
+        )
+    return total
 
 
 def abel_eval(n: int, a: int | Fraction, x: int | Fraction) -> Fraction:
@@ -329,9 +352,12 @@ def abel_eval(n: int, a: int | Fraction, x: int | Fraction) -> Fraction:
     if n < 0:
         raise ValueError("n must be non-negative")
     x = Fraction(x)
-    if n == 0:
-        return Fraction(1)
-    return x * (x - Fraction(a) * n) ** (n - 1)
+    return Fraction(1) if n == 0 else _abel(n, Fraction(a), x)
+
+
+def _abel(n: int, a, x):
+    """A_{n,a}(x) in the number type of a and x (n >= 0)."""
+    return 1 if n == 0 else x * (x - a * n) ** (n - 1)
 
 
 def enumerate_decorated_forests(n: int) -> Iterator[DecoratedForest]:

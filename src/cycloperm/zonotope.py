@@ -26,7 +26,7 @@ from .forests import (
     DecoratedForest,
     NormalizedVolume,
     PartialDecoratedForest,
-    abel_eval,
+    _abel,
     forest_count,
     forest_gcd_sum,
 )
@@ -197,13 +197,12 @@ def volume_by_forests(n: int) -> NormalizedVolume:
     sum_F (-n)^(#marks) * N(F), evaluated grouped: a free tree on N chosen
     vertices and a rooted forest with k trees on the rest contribute
     C(n,N) N^(N-2) * N * (-n)^k * t_{n-N,k}, and the sum over k of
-    t_{n-N,k} x^k is the Abel polynomial x (x + n - N)^(n-N-1) at x = -n."""
+    t_{n-N,k} x^k is the Abel polynomial x (x + n - N)^(n-N-1) at x = -n.
+    Every term is an integer, so the sum runs in plain ints."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    total = sum(
-        math.comb(n, N) * N ** (N - 1) * abel_eval(n - N, -1, -n) for N in range(1, n + 1)
-    )
-    return NormalizedVolume(Fraction(total), n)
+    total = sum(math.comb(n, N) * N ** (N - 1) * _abel(n - N, -1, -n) for N in range(1, n + 1))
+    return NormalizedVolume(total, n)
 
 
 def volume_closed_form(n: int) -> NormalizedVolume:

@@ -262,10 +262,15 @@ def test_forest_gcd_sum_matches_bruteforce():
         assert forest_gcd_sum(v) == brute
 
 
+def test_totient_matches_the_gcd_count():
+    for d in range(1, 2001):
+        assert forests._totient(d) == sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=6))
 def test_forest_table_state_cannot_change_an_answer(order):
     # each example builds the shared tables from empty in its own order
-    with mock.patch.dict(forests._DIVISIBLE_TABLES, clear=True):
+    with mock.patch.dict(forests._DIVISIBLE_TABLES, clear=True), mock.patch.dict(forests._GCD_SUMS, clear=True):
         for n in order:
             assert (forest_count(n), forest_gcd_sum(n)) == forest_sums_by_partitions(n)
 
@@ -308,6 +313,21 @@ def test_abel_eval_basics():
     assert abel_eval(2, Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 3) * (Fraction(1, 3) - 1)
     with pytest.raises(ValueError):
         abel_eval(-1, 1, 1)
+
+
+_NUMBERS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=50),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.integers(0, 12), _NUMBERS, _NUMBERS)
+def test_abel_eval_is_exact_in_every_number_type(n, a, x):
+    # floats count at their exact binary value, as Fraction(float) gives it
+    expected = 1 if n == 0 else Fraction(x) * (Fraction(x) - Fraction(a) * n) ** (n - 1)
+    value = abel_eval(n, a, x)
+    assert type(value) is Fraction and value == expected
 
 
 def test_abel_grouped_sum_identity():

@@ -72,3 +72,9 @@ def test_each_check_catches_its_mutation(monkeypatch, module, name, mutate, fail
     # one route patched at a time: exactly the checks that compare it fail
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert [r.name for r in verification.run_all(4) if not r.passed] == failing
+
+
+def test_one_phi_table_feeds_the_closed_lattice_route_and_its_check(monkeypatch):
+    # Phi(3) is 13; one wrong entry in the shared table reaches both readers
+    monkeypatch.setitem(forests._GCD_SUMS, 3, 14)
+    assert [r.name for r in verification.run_all(4) if not r.passed] == ["forest-counts", "cyclo-lattice-count"]

@@ -239,6 +239,44 @@ def test_lattice_count_bounds():
         lattice_count_closed_form(1)
 
 
+def _parent_closed_forms(n_max: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    # the forest-sum volume and the lattice formula term by term in Fraction,
+    # with F_d and Phi from their own recurrence and totient by gcd count
+    one = Fraction(1)
+    tables = {}
+    for d in range(1, n_max + 1):
+        f = [one]
+        for m in range(1, n_max + 1):
+            f.append(sum(
+                Fraction(math.comb(m - 1, k - 1)) * Fraction(k) ** max(k - 2, 0) * f[m - k]
+                for k in range(d, m + 1, d)
+            ))
+        tables[d] = f
+    gcd_sum = {
+        v: sum(sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) * tables[d][v] for d in range(1, v + 1) if v % d == 0)
+        for v in range(1, n_max + 1)
+    }
+    volumes, lattice = {}, {}
+    for n in range(2, n_max + 1):
+        x, a = Fraction(-n), Fraction(-1)
+        volumes[n] = sum(
+            Fraction(math.comb(n, N)) * Fraction(N) ** (N - 1)
+            * (one if N == n else x * (x - a * (n - N)) ** (n - N - 1))
+            for N in range(1, n + 1)
+        )
+        lattice[n] = tables[1][n] - sum(
+            Fraction(math.comb(n, v)) * Fraction(-v) ** (n - v - 1) * gcd_sum[v] for v in range(1, n)
+        )
+    return volumes, lattice
+
+
+def test_closed_forest_routes_equal_the_fraction_formulas():
+    volumes, lattice = _parent_closed_forms(60)
+    for n in range(2, 61):
+        assert volume_by_forests(n) == NormalizedVolume(volumes[n], n)
+        assert lattice_count_closed_form(n) == lattice[n]
+
+
 def test_permutohedron_lattice_count():
     assert [permutohedron_lattice_count(n) for n in range(1, 6)] == [1, 2, 7, 38, 291]
     with pytest.raises(ValueError):
