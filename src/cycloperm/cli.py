@@ -249,6 +249,11 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+# argparse reads -1 and -1.5 as values but -1/3 and -1,2,3 as options; no option
+# here starts with "-" and a digit, so the value-taking commands read all as values.
+_NEGATIVE_VALUE = re.compile(r"-[0-9]")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycloperm",
@@ -286,10 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     lv = link.add_parser("volume", parents=[common])
+    lv._negative_number_matcher = _NEGATIVE_VALUE
     lv.add_argument("--lengths", required=True, help="comma-separated bar lengths, longest last")
     lv.add_argument("--method", choices=("theorem", "forests"), default="theorem")
     for sub, method in (("betti", "a-profile"), ("cells", "cell-complex"), ("aprofile", "short-sets")):
         lp = link.add_parser(sub, parents=[common])
+        lp._negative_number_matcher = _NEGATIVE_VALUE
         lp.add_argument("--lengths", required=True, help="comma-separated bar lengths, longest last")
         lp.set_defaults(method=method)
 
@@ -301,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--n", type=_count, required=True)
         fp.set_defaults(method="partition-sum")
     fa = fo.add_parser("abel", parents=[common])
+    fa._negative_number_matcher = _NEGATIVE_VALUE
     fa.add_argument("--n", type=_count, required=True)
     fa.add_argument("--a", required=True, help="rational parameter a")
     fa.add_argument("--x", required=True, help="rational evaluation point x")

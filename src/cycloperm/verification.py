@@ -113,7 +113,7 @@ def _check_determinant_lemma(n_max: int, jobs: int) -> str:
 
 
 def _check_cyclo_volume(n_max: int, jobs: int) -> str:
-    top = min(n_max, zonotope.VOLUME_BRUTE_MAX)
+    top = min(n_max, zonotope.BRUTE_MAX)
     for n in range(2, top + 1):
         brute = zonotope.volume_bruteforce(n, jobs=jobs)
         _require(brute == zonotope.volume_by_forests(n), f"volume routes differ at n={n}")
@@ -125,7 +125,7 @@ def _check_cyclo_volume(n_max: int, jobs: int) -> str:
 
 def _check_cyclo_lattice(n_max: int, jobs: int) -> str:
     known = {2: 0, 3: 1, 4: 18}
-    top = min(n_max, zonotope.LATTICE_BRUTE_MAX)
+    top = min(n_max, zonotope.BRUTE_MAX)
     for n in range(2, top + 1):
         closed = zonotope.lattice_count_closed_form(n)
         brute = zonotope.lattice_count_bruteforce(n, jobs=jobs)

@@ -8,9 +8,11 @@ sums collapse to closed forms through decorated forests.  The brute routes
 evaluate the sums as defined, by one depth-first walk over the generator
 subsets (edges, then radials, indices increasing) that carries the
 exterior product of the selected columns as a map from row set to
-Pluecker coordinate, i.e. to maximal minor (on the first n - 1 rows for
-the lattice route, see _lattice_pass).  Adding a column costs one
-expansion along it, so no selection pays for its own elimination.
+Pluecker coordinate, i.e. to maximal minor on the first n - 1 rows.
+Adding a column costs one expansion along it, so no selection pays for
+its own elimination.  Both routes read one pass, _brute_pass: the volume
+is n times its top level, since det[C | 1] = n * det(C on the first
+n - 1 rows), and the lattice count adds the lower levels.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
 exact rational c and the radicand n travel together in NormalizedVolume.
@@ -82,9 +84,8 @@ def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
 # --- the Pluecker walk over generator subsets ---
 
 
-# Largest n that the two brute routes accept.
-VOLUME_BRUTE_MAX = 7
-LATTICE_BRUTE_MAX = 7
+# Largest n that the brute routes accept: both run one walk of the same size.
+BRUTE_MAX = 7
 
 
 def _generators(n: int) -> list:
@@ -93,8 +94,8 @@ def _generators(n: int) -> list:
     return list(combinations(range(1, n + 1), 2)) + list(range(1, n + 1))
 
 
-def _wedge_tables(n: int, rows: int) -> list[list[list[tuple[int, int]]]]:
-    """tables[g][S]: the terms of e_S ^ c for the first `rows` coordinates c
+def _wedge_tables(n: int) -> list[list[list[tuple[int, int]]]]:
+    """tables[g][S]: the terms of e_S ^ c for the first n - 1 coordinates c
     of generator g's column and a set S of those rows (a bitmask), one
     (S | {r}, sign * c_r) per row r outside S with c_r != 0.  The sign
     (-1)^(rows of S above r) is the Laplace sign of c_r in the new last
@@ -103,28 +104,28 @@ def _wedge_tables(n: int, rows: int) -> list[list[list[tuple[int, int]]]]:
     edges = len(gens) - n
     return [
         [
-            [(S | 1 << r, -c[r] if (S >> r).bit_count() % 2 else c[r]) for r in range(rows) if c[r] and not S >> r & 1]
-            for S in range(1 << rows)
+            [(S | 1 << r, -c[r] if (S >> r).bit_count() % 2 else c[r]) for r in range(n - 1) if c[r] and not S >> r & 1]
+            for S in range(1 << n - 1)
         ]
         for c in _columns(n, gens[:edges], gens[edges:])
     ]
 
 
-def _walk(n: int, tables, root: dict[int, int], depth: int, worker: int = 0, workers: int = 1):
+def _walk(n: int, tables, depth: int, worker: int = 0, workers: int = 1):
     """Depth-first walk over the selections of at most `depth` generators,
     indices increasing.  Yields (selection, state, marks): the generator
-    indices, the exterior product of `root` with their columns as
-    {row bitmask: Pluecker coordinate} without zero coordinates, and the
-    number of radials.  A dependent selection has the empty state and is
-    walked like any other: nothing is pruned.  Worker w of `workers` takes
-    the top-level branches w, w + workers, ...; worker 0 also yields the
-    root."""
+    indices, the exterior product of their columns as {row bitmask:
+    Pluecker coordinate} without zero coordinates, and the number of
+    radials.  A dependent selection has the empty state and is walked like
+    any other: nothing is pruned.  Worker w of `workers` takes the
+    top-level branches w, w + workers, ...; worker 0 also yields the empty
+    selection."""
     first_radial = len(tables) - n
     if worker == 0:
-        yield (), root, 0
+        yield (), {0: 1}, 0
     if depth == 0:
         return
-    stack = [((), root, 0, g) for g in reversed(range(worker, len(tables), workers))]
+    stack = [((), {0: 1}, 0, g) for g in reversed(range(worker, len(tables), workers))]
     while stack:
         selection, parent, marks, g = stack.pop()
         table = tables[g]
@@ -140,8 +141,31 @@ def _walk(n: int, tables, root: dict[int, int], depth: int, worker: int = 0, wor
             stack.extend((selection, state, marks, h) for h in range(len(tables) - 1, g, -1))
 
 
-def _parallel_sum(route_pass, n: int, jobs: int) -> int:
-    """route_pass(n, worker, workers) summed over the workers.  With
+def _brute_pass(n: int, worker: int, workers: int) -> tuple[int, int]:
+    """One worker's share (lower, top) of the defining sums.  Every
+    generator lies in sum(x) = 0, and dropping the last coordinate maps that
+    hyperplane's lattice points one to one onto Z^(n-1), so the walk keeps
+    the first n - 1 rows.  lower: each selection of at most n - 2
+    generators adds (-1)^(#radials) times its semiopen brick's points, the
+    gcd of its maximal minors (0 when dependent, 1 for the empty one).
+    top: each node at n - 2 is wedged with every later generator, adding
+    (-1)^(#radials) times |its one coordinate|, the minor of n - 1 columns."""
+    tables = _wedge_tables(n)
+    signs = [1] * (len(tables) - n) + [-1] * n
+    lower = top = 0
+    for selection, state, marks in _walk(n, tables, n - 2, worker, workers):
+        g = math.gcd(*state.values())
+        lower += -g if marks % 2 else g
+        if len(selection) == n - 2:
+            terms = 0
+            for h in range(selection[-1] + 1 if selection else 0, len(tables)):
+                terms += signs[h] * abs(sum(v * x for S, x in state.items() for _, v in tables[h][S]))
+            top += -terms if marks % 2 else terms
+    return lower, top
+
+
+def _parallel_sum(n: int, jobs: int) -> tuple[int, int]:
+    """_brute_pass(n, worker, workers) summed over the workers.  With
     jobs > 1 and n >= 7 (at n = 6 the serial walk wins), each of min(jobs,
     cpu_count()) fork-pool workers runs its share of the top-level branches."""
     if jobs < 1:
@@ -151,45 +175,24 @@ def _parallel_sum(route_pass, n: int, jobs: int) -> int:
 
         workers = min(jobs, mp.cpu_count())
         with mp.get_context("fork").Pool(workers) as pool:
-            return sum(pool.starmap(route_pass, [(n, w, workers) for w in range(workers)]))
-    return route_pass(n, 0, 1)
+            parts = pool.starmap(_brute_pass, [(n, w, workers) for w in range(workers)])
+        return tuple(map(sum, zip(*parts)))
+    return _brute_pass(n, 0, 1)
 
 
 # --- volumes ---
 
 
-def _volume_pass(n: int, worker: int, workers: int) -> int:
-    """The volume terms of one worker: the walk starts from the all-ones
-    column and stops at n - 2 generators; each later generator c then adds
-    (-1)^(#radials) |<w, c>|, the pairing with the node's state w."""
-    tables = _wedge_tables(n, n)
-    full = (1 << n) - 1
-    # pairings[g]: the wedge terms of c_g that complete a row set missing one row
-    pairings = [[(S, v) for S in (full ^ 1 << r for r in range(n)) for _, v in table[S]] for table in tables]
-    signs = [1] * (len(tables) - n) + [-1] * n
-    ones = {1 << r: 1 for r in range(n)}
-    total = 0
-    for selection, w, marks in _walk(n, tables, ones, n - 2, worker, workers):
-        if len(selection) == n - 2:
-            terms = 0
-            for g in range(selection[-1] + 1 if selection else 0, len(tables)):
-                terms += signs[g] * abs(sum(v * w.get(S, 0) for S, v in pairings[g]))
-            total += -terms if marks % 2 else terms
-    return total
-
-
 def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     """Volume of the cyclopermutohedron by the defining alternating sum over
     all (n-1)-subsets of generators, each contributing |det| (with the
-    all-ones column) with sign (-1)^(#radials).  Cost grows as
-    C(n(n+1)/2, n-1); refuse past VOLUME_BRUTE_MAX."""
+    all-ones column) with sign (-1)^(#radials): n times the top of
+    _brute_pass.  Cost grows as C(n(n+1)/2, n-1); refuse past BRUTE_MAX."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    if n > VOLUME_BRUTE_MAX:
-        raise ValueError(
-            f"n={n} exceeds bound={VOLUME_BRUTE_MAX}; use volume_by_forests or volume_closed_form"
-        )
-    return NormalizedVolume(Fraction(_parallel_sum(_volume_pass, n, jobs)), n)
+    if n > BRUTE_MAX:
+        raise ValueError(f"n={n} exceeds bound={BRUTE_MAX}; use volume_by_forests or volume_closed_form")
+    return NormalizedVolume(Fraction(n * _parallel_sum(n, jobs)[1]), n)
 
 
 def volume_by_forests(n: int) -> NormalizedVolume:
@@ -224,31 +227,16 @@ def permutohedron_volume(n: int) -> NormalizedVolume:
 # --- lattice point counts ---
 
 
-def _lattice_pass(n: int, worker: int, workers: int) -> int:
-    """The lattice terms of one worker: every selection of at most n - 1
-    generators adds (-1)^(#radials) times the lattice points of its
-    semiopen brick, the gcd of its maximal minors (0 when the columns are
-    dependent, 1 for the empty selection).  Every generator lies in the
-    hyperplane sum(x) = 0, and dropping the last coordinate maps that
-    hyperplane's lattice points one to one onto Z^(n-1); so the walk
-    carries the Pluecker coordinates on the first n - 1 rows only."""
-    total = 0
-    for _, state, marks in _walk(n, _wedge_tables(n, n - 1), {0: 1}, n - 1, worker, workers):
-        g = math.gcd(*state.values())
-        total += -g if marks % 2 else g
-    return total
-
-
 def lattice_count_bruteforce(n: int, *, jobs: int = 1) -> int:
     """Lattice points of the cyclopermutohedron by the defining alternating
     sum over all generator subsets with |edges| + |marks| <= n - 1, counting
-    each semiopen brick as the gcd of its maximal minors.  Refuse past
-    LATTICE_BRUTE_MAX; use lattice_count_closed_form for larger n."""
+    each semiopen brick as the gcd of its maximal minors: lower + top of
+    _brute_pass.  Refuse past BRUTE_MAX; use lattice_count_closed_form."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    if n > LATTICE_BRUTE_MAX:
-        raise ValueError(f"n={n} exceeds bound={LATTICE_BRUTE_MAX}; use lattice_count_closed_form")
-    return _parallel_sum(_lattice_pass, n, jobs)
+    if n > BRUTE_MAX:
+        raise ValueError(f"n={n} exceeds bound={BRUTE_MAX}; use lattice_count_closed_form")
+    return sum(_parallel_sum(n, jobs))
 
 
 def lattice_count_closed_form(n: int) -> int:

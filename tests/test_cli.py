@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloperm import forests, linkage, verification, zonotope
+from cycloperm import cli, forests, linkage, verification, zonotope
 from cycloperm.cli import _ROUTES, approx_string, parse_lengths, parse_rational, run
 
 
@@ -82,6 +83,39 @@ def test_parse_rational_accepts_exactly_the_grammar(text):
         assert parse_rational(text) == expected
 
 
+@settings(deadline=None)
+@given(_GRAMMAR, _GRAMMAR)
+def test_grammar_values_reach_the_parsers(a, x):
+    # a value of the grammar given as its own token, a leading "-" included,
+    # reaches parse_rational or parse_lengths rather than argparse's option
+    # matching (which took -1/3 and -1,2,3 for options)
+    seen = []
+
+    def lengths(text):
+        seen.append(text)
+        raise _Called
+
+    with pytest.MonkeyPatch.context() as patched, contextlib.redirect_stdout(io.StringIO()):
+        patched.setattr(cli, "parse_rational", lambda text: seen.append(text) or Fraction(1))
+        patched.setattr(cli, "parse_lengths", lengths)
+        assert run(["forests", "abel", "--n", "3", "--a", a, "--x", x]) == 0
+        for sub in ("volume", "betti", "cells", "aprofile"):
+            with pytest.raises(_Called):
+                run(["linkage", sub, "--lengths", a + "," + x])
+    assert seen == [a, x] + [a + "," + x] * 4
+
+
+def test_negative_values_as_separate_tokens(capsys):
+    argv = ["forests", "abel", "--n", "3", "--a", "1", "--x", "-1/2"]
+    assert _capture(capsys, argv) == (0, "forests.abel n=3 method=closed coeff=-49/8 radicand=1 approx=-6.125\n", "")
+    joined = _capture(capsys, ["forests", "abel", "--n", "12", "--a=-1/3", "--x", "5/7"])
+    assert _capture(capsys, ["forests", "abel", "--n", "12", "--a", "-1/3", "--x", "5/7"]) == joined
+    assert joined[0] == 0
+    for sub in ("volume", "betti", "cells", "aprofile"):
+        argv = ["linkage", sub, "--lengths", "-1,2,3"]
+        assert _capture(capsys, argv) == (2, "", "error: bar lengths must be positive\n")
+
+
 def test_parse_lengths():
     assert parse_lengths("1.2,1,1,0.8,2.2") == [
         Fraction(6, 5),
@@ -141,6 +175,32 @@ def test_golden_outputs(capsys):
         assert code == 0
         assert err == ""
         assert out == expected
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, stdout lines) of every `$ cycloperm ...` example in README.md.
+    A JSON array that the README wraps at record boundaries is joined back
+    onto one line, as the CLI prints it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```\n(.*?)```", text, flags=re.S):
+        for example in block.split("$ cycloperm ")[1:]:
+            command, *lines = example.strip().splitlines()
+            examples.append((command.split(), ["".join(lines)] if lines[0].startswith("[") else lines))
+    return examples
+
+
+_README = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, lines", _README, ids=[" ".join(argv) for argv, _ in _README])
+def test_readme_examples(capsys, argv, lines):
+    code, out, err = _capture(capsys, argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "verify":  # the README shows the first and the last line
+        first, *_, last = out.splitlines()
+        out, lines = f"{first}\n{last}\n", [lines[0], lines[-1]]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_output_byte_stable(capsys):
@@ -262,7 +322,7 @@ def test_closed_routes_capped(key, n):
         if method != "brute":
             assert err.getvalue() == f"error: n={n} exceeds the cap n <= {cap} of the closed and forest-sum routes\n"
     elif method == "brute":
-        assert [(args[1:], kwargs) for args, kwargs in calls] == [((n, 2), {})]
+        assert calls == [((n, 2), {})]
     else:
         assert calls == [((n,), {})]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cycloperm import zonotope
 from cycloperm.cli import approx_string
 from cycloperm.forests import (
     DecoratedForest,
@@ -19,6 +20,7 @@ from cycloperm.intlin import det_rows
 from cycloperm.oracle import generator_selections
 from cycloperm.zonotope import (
     NormalizedVolume,
+    _brute_pass,
     _columns,
     _generators,
     _walk,
@@ -121,46 +123,78 @@ def _split(n, selection):
     return tuple(g for g in picked if isinstance(g, tuple)), tuple(g for g in picked if isinstance(g, int))
 
 
-@given(st.integers(2, 5), st.booleans(), st.integers(1, 4))
-def test_strided_passes_cover_every_selection_once(n, volume_sizes, workers):
-    tables = _wedge_tables(n, n if volume_sizes else n - 1)
-    depth = n - 2 if volume_sizes else n - 1
+@given(st.integers(2, 5), st.integers(1, 4))
+def test_strided_passes_cover_every_selection_once(n, workers):
+    # the walk's nodes, and each node at n - 2 paired with every later
+    # generator as _brute_pass pairs it
+    tables = _wedge_tables(n)
     seen = []
     for w in range(workers):
-        for selection, _, _ in _walk(n, tables, {0: 1}, depth, w, workers):
-            if not volume_sizes:
-                seen.append(selection)
-            elif len(selection) == depth:  # the volume pairs it with every later generator
+        for selection, _, _ in _walk(n, tables, n - 2, w, workers):
+            seen.append(selection)
+            if len(selection) == n - 2:
                 first = selection[-1] + 1 if selection else 0
                 seen.extend(selection + (g,) for g in range(first, len(tables)))
     assert len(set(seen)) == len(seen)
-    sizes = (n - 1,) if volume_sizes else range(n)
-    serial = list(generator_selections(n, sizes))
+    serial = list(generator_selections(n, range(n)))
     assert sorted(_split(n, s) for s in seen) == sorted(serial)
-    generators = n * (n + 1) // 2
-    if volume_sizes:
-        assert len(serial) == math.comb(generators, n - 1)
-    else:
-        assert len(serial) == sum(math.comb(generators, k) for k in range(n))
+    assert len(serial) == sum(math.comb(n * (n + 1) // 2, k) for k in range(n))
 
 
 def test_walk_coordinates_are_the_minors():
-    # every node against the Bareiss minors of its columns on ascending
-    # rows, sign included: the volume walk's on all n rows after the
-    # all-ones column, the lattice walk's on the first n - 1 rows
+    # every node against the Bareiss minors of its columns on the first
+    # n - 1 rows, ascending, sign included
     for n in range(2, 6):
-        ones = {1 << r: 1 for r in range(n)}
-        for rows, root, lead in ((n, ones, [ones_vector(n)]), (n - 1, {0: 1}, [])):
-            for selection, state, marks in _walk(n, _wedge_tables(n, rows), root, n - len(lead)):
-                edges, radials = _split(n, selection)
-                cols = lead + _columns(n, edges, radials)
-                minors = {}
-                for picked in combinations(range(rows), len(cols)):
-                    d = det_rows([[c[r] for c in cols] for r in picked])
-                    if d:
-                        minors[sum(1 << r for r in picked)] = d
-                assert state == minors
-                assert marks == len(radials)
+        for selection, state, marks in _walk(n, _wedge_tables(n), n - 1):
+            edges, radials = _split(n, selection)
+            cols = _columns(n, edges, radials)
+            minors = {}
+            for picked in combinations(range(n - 1), len(cols)):
+                d = det_rows([[c[r] for c in cols] for r in picked])
+                if d:
+                    minors[sum(1 << r for r in picked)] = d
+            assert state == minors
+            assert marks == len(radials)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_brute_pass_is_the_definition(n):
+    # lower: the signed minor gcds of the selections of at most n - 2
+    # generators; top: the signed |minor on the first n - 1 rows| of the
+    # (n - 1)-selections
+    lower = sum((-1) ** len(m) * minor_gcd(_columns(n, e, m)) for e, m in generator_selections(n, range(n - 1)))
+    top = sum(
+        (-1) ** len(m) * abs(det_rows([c[:-1] for c in _columns(n, e, m)]))
+        for e, m in generator_selections(n, (n - 1,))
+    )
+    for workers in (1, 2, 3):
+        parts = [_brute_pass(n, w, workers) for w in range(workers)]
+        assert tuple(map(sum, zip(*parts))) == (lower, top)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_brute_pass_walk_size(n, monkeypatch):
+    # the work, not a time: across the workers, the pass visits the
+    # selections of at most n - 2 generators once each and takes one
+    # |minor| per (n - 1)-selection
+    walk, nodes, pairs = zonotope._walk, [], []
+
+    def counted_walk(*args):
+        for node in walk(*args):
+            nodes.append(len(node[0]))
+            yield node
+
+    monkeypatch.setattr(zonotope, "_walk", counted_walk)
+    monkeypatch.setattr(zonotope, "abs", lambda x: pairs.append(x) or abs(x), raising=False)
+    generators = n * (n + 1) // 2
+    for workers in (1, 2):
+        nodes.clear()
+        pairs.clear()
+        for w in range(workers):
+            _brute_pass(n, w, workers)
+        assert len(nodes) == sum(math.comb(generators, k) for k in range(n - 1))
+        assert max(nodes) == n - 2
+        assert len(pairs) == math.comb(generators, n - 1)
 
 
 def _ones_column_identity(n, edges, marks):
@@ -186,9 +220,9 @@ def test_det_with_ones_column_random_selections(n, data):
 
 
 def test_dropped_row_keeps_the_brick_count():
-    # the lattice walk's gcd on n - 1 rows is the minor gcd on all n rows
+    # the walk's gcd on n - 1 rows is the minor gcd on all n rows
     for n in range(2, 6):
-        for selection, state, _ in _walk(n, _wedge_tables(n, n - 1), {0: 1}, n - 1):
+        for selection, state, _ in _walk(n, _wedge_tables(n), n - 1):
             columns = _columns(n, *_split(n, selection))
             assert math.gcd(*state.values()) == minor_gcd(columns)
 
