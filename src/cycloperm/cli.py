@@ -250,12 +250,22 @@ def _jobs(text: str) -> int:
 
 
 # argparse reads -1 and -1.5 as values but -1/3 and -1,2,3 as options; no option
-# here starts with "-" and a digit, so the value-taking commands read all as values.
+# here starts with "-" and a digit, so every command reads all as values.
 _NEGATIVE_VALUE = re.compile(r"-[0-9]")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that hands every token of "-" and a digit to the option
+    before it, so its type function names what is wrong.  Subparsers are
+    built from the class of their parent, so every command gets it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cycloperm",
         description="Exact volumes, lattice counts, and linkage invariants.",
     )
@@ -291,12 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     lv = link.add_parser("volume", parents=[common])
-    lv._negative_number_matcher = _NEGATIVE_VALUE
     lv.add_argument("--lengths", required=True, help="comma-separated bar lengths, longest last")
     lv.add_argument("--method", choices=("theorem", "forests"), default="theorem")
     for sub, method in (("betti", "a-profile"), ("cells", "cell-complex"), ("aprofile", "short-sets")):
         lp = link.add_parser(sub, parents=[common])
-        lp._negative_number_matcher = _NEGATIVE_VALUE
         lp.add_argument("--lengths", required=True, help="comma-separated bar lengths, longest last")
         lp.set_defaults(method=method)
 
@@ -308,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--n", type=_count, required=True)
         fp.set_defaults(method="partition-sum")
     fa = fo.add_parser("abel", parents=[common])
-    fa._negative_number_matcher = _NEGATIVE_VALUE
     fa.add_argument("--n", type=_count, required=True)
     fa.add_argument("--a", required=True, help="rational parameter a")
     fa.add_argument("--x", required=True, help="rational evaluation point x")

@@ -271,11 +271,6 @@ def set_partitions(items: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]
         yield blocks + ((last,),)
 
 
-def _trees_with(size: int) -> int:
-    # Cayley count; sizes 1 and 2 both admit exactly one tree.
-    return size ** max(size - 2, 0)
-
-
 # d -> [F_d(0), F_d(1), ...]; each list is replaced whole, never mutated.
 _DIVISIBLE_TABLES: dict[int, list[int]] = {}
 
@@ -285,19 +280,19 @@ def _forests_divisible(d: int, n: int) -> list[int]:
     [m] whose tree sizes are all multiples of d.  By the exponential
     formula, splitting off the tree of vertex m:
     F_d(m) = sum_{k in d, 2d, ... <= m} C(m-1, k-1) k^(k-2) F_d(m-k),
-    with F_d(0) = 1 and F_d(m) = 0 unless d divides m."""
+    with F_d(0) = 1 and F_d(m) = 0 unless d divides m.  Sizes 1 and 2 both
+    admit exactly one tree."""
     table = _DIVISIBLE_TABLES.get(d, [1])
     if len(table) > n:
         return table
     table = list(table)
+    comb = math.comb
     for m in range(len(table), n + 1):
         table.append(
-            0
-            if m % d
-            else sum(
-                math.comb(m - 1, k - 1) * _trees_with(k) * table[m - k]
-                for k in range(d, m + 1, d)
-            )
+            sum([comb(m - 1, k - 1) * (k ** (k - 2) if k > 2 else 1) * table[m - k]
+                 for k in range(d, m + 1, d)])
+            if m % d == 0
+            else 0
         )
     _DIVISIBLE_TABLES[d] = table  # publish only the finished list
     return table
@@ -331,7 +326,10 @@ def forest_count(n: int) -> int:
     forest)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _forests_divisible(1, n)[n]
+    table = _DIVISIBLE_TABLES.get(1, ())
+    if len(table) <= n:
+        table = _forests_divisible(1, n)
+    return table[n]
 
 
 def forest_gcd_sum(v: int) -> int:

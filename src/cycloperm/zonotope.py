@@ -195,6 +195,11 @@ def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     return NormalizedVolume(Fraction(n * _parallel_sum(n, jobs)[1]), n)
 
 
+# n -> volume_by_forests(n), kept for the life of the process like
+# forests._GCD_SUMS: each entry is computed once and stored finished.
+_FOREST_VOLUMES: dict[int, NormalizedVolume] = {}
+
+
 def volume_by_forests(n: int) -> NormalizedVolume:
     """Volume of the cyclopermutohedron as the decorated-forest sum
     sum_F (-n)^(#marks) * N(F), evaluated grouped: a free tree on N chosen
@@ -204,8 +209,11 @@ def volume_by_forests(n: int) -> NormalizedVolume:
     Every term is an integer, so the sum runs in plain ints."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    total = sum(math.comb(n, N) * N ** (N - 1) * _abel(n - N, -1, -n) for N in range(1, n + 1))
-    return NormalizedVolume(total, n)
+    volume = _FOREST_VOLUMES.get(n)
+    if volume is None:
+        total = sum(math.comb(n, N) * N ** (N - 1) * _abel(n - N, -1, -n) for N in range(1, n + 1))
+        volume = _FOREST_VOLUMES[n] = NormalizedVolume(total, n)
+    return volume
 
 
 def volume_closed_form(n: int) -> NormalizedVolume:
@@ -239,15 +247,21 @@ def lattice_count_bruteforce(n: int, *, jobs: int = 1) -> int:
     return sum(_parallel_sum(n, jobs))
 
 
+# n -> Lambda(n), kept for the life of the process like forests._GCD_SUMS.
+_LATTICE_COUNTS: dict[int, int] = {}
+
+
 def lattice_count_closed_form(n: int) -> int:
     """Lattice points of the cyclopermutohedron:
     phi(n) - sum_{v=1}^{n-1} C(n,v) (-v)^(n-v-1) Phi(v),
     with phi the forest count and Phi the forest gcd sum."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
-    total = forest_count(n)
-    for v in range(1, n):
-        total -= math.comb(n, v) * (-v) ** (n - v - 1) * forest_gcd_sum(v)
+    total = _LATTICE_COUNTS.get(n)
+    if total is None:
+        total = _LATTICE_COUNTS[n] = forest_count(n) - sum(
+            math.comb(n, v) * (-v) ** (n - v - 1) * forest_gcd_sum(v) for v in range(1, n)
+        )
     return total
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -114,6 +115,40 @@ def test_negative_values_as_separate_tokens(capsys):
     for sub in ("volume", "betti", "cells", "aprofile"):
         argv = ["linkage", sub, "--lengths", "-1,2,3"]
         assert _capture(capsys, argv) == (2, "", "error: bar lengths must be positive\n")
+
+
+def _leaf_parsers(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    # (command words, parser) of every command that parses options itself
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, path + (name,))
+            return
+    yield path, parser
+
+
+def test_negative_counts_reach_the_type_functions(capsys):
+    # argparse read -1/3 and -1,2 given to a count option as options and exited 2 with
+    # "expected one argument"; every count option must pass them to _count or _jobs
+    required = {"--n": "3", "--a": "1", "--x": "2", "--lengths": "1,1,1"}
+    seen = set()
+    for path, parser in _leaf_parsers(cli.build_parser()):
+        for action in parser._actions:
+            if action.type not in (cli._count, cli._jobs):
+                continue
+            option = action.option_strings[0]
+            seen.add((path, option))
+            others = [
+                word for other in parser._actions if other.required and other is not action
+                for word in (other.option_strings[0], required[other.option_strings[0]])
+            ]
+            for token in ("-1/3", "-1,2", "-1"):
+                with pytest.raises(argparse.ArgumentTypeError) as reason:
+                    action.type(token)
+                code, out, err = _capture(capsys, [*path, *others, option, token])
+                assert (code, out) == (2, "")
+                assert err.endswith(f": error: argument {option}: {reason.value}\n")
+    assert len(seen) == 11  # --n of seven commands, --jobs of three, --n-max of verify
 
 
 def test_parse_lengths():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycloperm import forests
+from cycloperm import forests, zonotope
 from cycloperm.forests import (
     DecoratedForest,
     LabeledForest,
+    NormalizedVolume,
     PartialDecoratedForest,
     abel_eval,
     components_of,
@@ -26,6 +28,7 @@ from cycloperm.forests import (
     trees_on,
 )
 from cycloperm.oracle import forest_sums_by_partitions
+from tests.test_zonotope import _parent_closed_forms
 
 # --- independent brute-force oracle (DFS cycle check, no shared code) ---
 
@@ -267,12 +270,26 @@ def test_totient_matches_the_gcd_count():
         assert forests._totient(d) == sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
 
-@given(st.lists(st.integers(1, 20), min_size=1, max_size=6))
-def test_forest_table_state_cannot_change_an_answer(order):
-    # each example builds the shared tables from empty in its own order
-    with mock.patch.dict(forests._DIVISIBLE_TABLES, clear=True), mock.patch.dict(forests._GCD_SUMS, clear=True):
-        for n in order:
-            assert (forest_count(n), forest_gcd_sum(n)) == forest_sums_by_partitions(n)
+_TABLE_VOLUMES, _TABLE_LATTICE = _parent_closed_forms(20)
+_TABLED_ROUTES = (  # (route, least n, expected value at n)
+    (forest_count, 1, lambda n: forest_sums_by_partitions(n)[0]),
+    (forest_gcd_sum, 1, lambda n: forest_sums_by_partitions(n)[1]),
+    (zonotope.lattice_count_closed_form, 2, _TABLE_LATTICE.__getitem__),
+    (zonotope.volume_by_forests, 2, lambda n: NormalizedVolume(_TABLE_VOLUMES[n], n)),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_TABLED_ROUTES), st.integers(1, 20)), min_size=1, max_size=8))
+def test_forest_table_state_cannot_change_an_answer(calls):
+    # each example builds the per-process tables from empty, calling the
+    # routes that read them in its own order
+    tables = (forests._DIVISIBLE_TABLES, forests._GCD_SUMS, zonotope._LATTICE_COUNTS, zonotope._FOREST_VOLUMES)
+    with contextlib.ExitStack() as stack:
+        for table in tables:
+            stack.enter_context(mock.patch.dict(table, clear=True))
+        for (route, least, expected), n in calls:
+            if n >= least:
+                assert route(n) == expected(n)
 
 
 # --- rooted forest counts and Abel polynomials ---

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycloperm import zonotope
+from cycloperm import forests, zonotope
 from cycloperm.cli import approx_string
 from cycloperm.forests import (
     DecoratedForest,
     LabeledForest,
     PartialDecoratedForest,
     enumerate_partial_decorated_forests,
+    forest_count,
+    forest_gcd_sum,
 )
 from cycloperm.intlin import det_rows
 from cycloperm.oracle import generator_selections
@@ -309,6 +311,28 @@ def test_closed_forest_routes_equal_the_fraction_formulas():
     for n in range(2, 61):
         assert volume_by_forests(n) == NormalizedVolume(volumes[n], n)
         assert lattice_count_closed_form(n) == lattice[n]
+
+
+class _NoMath:
+    def __getattr__(self, name):
+        raise AssertionError(f"math.{name} called on a repeat")
+
+
+def _recomputed(*args):
+    raise AssertionError(f"recomputed with arguments {args}")
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 41])
+def test_closed_routes_answer_a_repeat_from_the_tables(monkeypatch, n):
+    # each table entry is computed once per process: after one call each, a
+    # repeat reaches neither the F_d builder, nor Phi, nor any arithmetic
+    routes = (lattice_count_closed_form, volume_by_forests, forest_gcd_sum, forest_count)
+    first = [route(n) for route in routes]
+    monkeypatch.setattr(forests, "_forests_divisible", _recomputed)
+    monkeypatch.setattr(zonotope, "forest_gcd_sum", _recomputed)
+    monkeypatch.setattr(zonotope, "math", _NoMath())
+    assert [route(n) for route in routes] == first
+    assert [route(n) for route in reversed(routes)] == first[::-1]
 
 
 def test_permutohedron_lattice_count():
