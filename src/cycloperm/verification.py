@@ -78,19 +78,6 @@ def _check_rooted_forest_tables(n_max: int, jobs: int) -> str:
     return f"rooted forests by tree count, enumerated as trees on [n+1], give x(x+n)^(n-1) for n <= {top}"
 
 
-def _check_grouped_abel_identity(n_max: int, jobs: int) -> str:
-    top = max(n_max, 10)
-    for n in range(2, top + 1):
-        lhs = zonotope.volume_by_forests(n).coeff
-        rhs = (-1) ** n * n * sum(
-            (-1) ** N * math.comb(n, N) * N ** (n - 2) for N in range(1, n + 1)
-        )
-        _require(lhs == rhs, f"grouped identity failed at n={n}")
-        if n >= 3:
-            _require(rhs == 0, f"alternating sum not zero at n={n}")
-    return f"grouped Abel identity holds for 2 <= n <= {top}"
-
-
 def _check_determinant_lemma(n_max: int, jobs: int) -> str:
     top = min(n_max, 5)
     for n in range(2, top + 1):
@@ -112,27 +99,26 @@ def _check_determinant_lemma(n_max: int, jobs: int) -> str:
     return f"det lemma exhaustive for n <= {top}; non-forest selections have det 0"
 
 
-def _check_cyclo_volume(n_max: int, jobs: int) -> str:
-    top = min(n_max, zonotope.BRUTE_MAX)
-    for n in range(2, top + 1):
-        brute = zonotope.volume_bruteforce(n, jobs=jobs)
-        _require(brute == zonotope.volume_by_forests(n), f"volume routes differ at n={n}")
-        _require(brute == zonotope.volume_closed_form(n), f"closed volume differs at n={n}")
-    for n in range(2, 9):
-        _require(zonotope.volume_by_forests(n) == zonotope.volume_closed_form(n))
-    return f"brute/forest/closed volumes agree for n <= {top}; zero for 3 <= n <= 8"
-
-
-def _check_cyclo_lattice(n_max: int, jobs: int) -> str:
-    known = {2: 0, 3: 1, 4: 18}
-    top = min(n_max, zonotope.BRUTE_MAX)
-    for n in range(2, top + 1):
+def _check_cyclo_routes(n_max: int, jobs: int) -> str:
+    # one brute pass gives both defining sums: the volume is n times its
+    # top level and the lattice count adds the lower levels
+    brute_top = min(n_max, zonotope.BRUTE_MAX)
+    for n in range(2, brute_top + 1):
+        lower, top = zonotope._parallel_sum(n, jobs)
+        forest = zonotope.volume_by_forests(n)
+        _require(zonotope.NormalizedVolume(n * top, n) == forest, f"brute and forest volumes differ at n={n}")
         closed = zonotope.lattice_count_closed_form(n)
-        brute = zonotope.lattice_count_bruteforce(n, jobs=jobs)
-        _require(closed == brute, f"lattice routes differ at n={n}")
-        if n in known:
-            _require(closed == known[n], f"Lambda({n}) != {known[n]}")
-    return f"lattice count routes agree for n <= {top}; values 0, 1, 18 at n = 2, 3, 4"
+        _require(lower + top == closed, f"brute and closed lattice counts differ at n={n}")
+    wide_top = max(n_max, 10)
+    for n in range(2, wide_top + 1):
+        forest = zonotope.volume_by_forests(n)
+        _require(forest == zonotope.volume_closed_form(n), f"forest and closed volumes differ at n={n}")
+    for n, value in {2: 0, 3: 1, 4: 18}.items():
+        _require(zonotope.lattice_count_closed_form(n) == value, f"closed lattice count Lambda({n}) != {value}")
+    return (
+        f"one brute pass per n gives the forest volume and the closed lattice count for n <= {brute_top}; "
+        f"forest and closed volumes agree for n <= {wide_top}; Lambda = 0, 1, 18 at n = 2, 3, 4"
+    )
 
 
 def _check_sharp_routes(n_max: int, jobs: int) -> str:
@@ -254,19 +240,13 @@ _CHECKS: list[tuple[str, Callable[[int, int], str]]] = [
     ("prufer-roundtrip-cayley", _check_prufer_roundtrip),
     ("forest-counts", _check_forest_counts),
     ("rooted-forest-tables", _check_rooted_forest_tables),
-    ("grouped-abel-identity", _check_grouped_abel_identity),
     ("determinant-lemma", _check_determinant_lemma),
-    ("cyclo-volume", _check_cyclo_volume),
-    ("cyclo-lattice-count", _check_cyclo_lattice),
+    ("cyclo-routes", _check_cyclo_routes),
     ("sharp-routes", _check_sharp_routes),
     ("permutohedron", _check_permutohedron),
     ("linkage-volumes", _check_linkage_volumes),
     ("linkage-topology", _check_linkage_topology),
 ]
-
-
-def check_names() -> list[str]:
-    return [name for name, _ in _CHECKS]
 
 
 def run_all(n_max: int = 5, *, jobs: int = 1) -> list[CheckResult]:

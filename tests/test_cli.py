@@ -630,7 +630,7 @@ def test_verify_ok(capsys):
     assert code == 0
     results = json.loads(out)
     assert all(r["passed"] for r in results)
-    assert [r["check"] for r in results] == verification.check_names()
+    assert [r["check"] for r in results] == [name for name, _ in verification._CHECKS]
 
 
 def test_verify_text_output(capsys):

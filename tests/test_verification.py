@@ -64,7 +64,20 @@ def _last_tree_repeats_first(enumerate_trees):
         ),
         pytest.param(
             zonotope, "volume_by_forests", lambda vol: lambda n: zonotope.NormalizedVolume(vol(n).coeff + 1, n),
-            ["grouped-abel-identity", "cyclo-volume"], id="wrong-forest-volume",
+            ["cyclo-routes"], id="wrong-forest-volume",
+        ),
+        pytest.param(
+            zonotope, "lattice_count_closed_form", lambda count: lambda n: count(n) + 1,
+            ["cyclo-routes"], id="closed-lattice-off-by-one",
+        ),
+        pytest.param(
+            # wrong only past the brute range: the forest comparison still reaches n = 9
+            zonotope, "volume_closed_form", lambda vol: lambda n: zonotope.NormalizedVolume(1, n) if n == 9 else vol(n),
+            ["cyclo-routes"], id="closed-volume-wrong-at-9",
+        ),
+        pytest.param(
+            zonotope, "_parallel_sum", lambda brute: lambda n, jobs: (brute(n, jobs)[0], 0),
+            ["cyclo-routes"], id="brute-pass-without-top",
         ),
     ],
 )
@@ -77,4 +90,19 @@ def test_each_check_catches_its_mutation(monkeypatch, module, name, mutate, fail
 def test_one_phi_table_feeds_the_closed_lattice_route_and_its_check(monkeypatch):
     # Phi(3) is 13; one wrong entry in the shared table reaches both readers
     monkeypatch.setitem(forests._GCD_SUMS, 3, 14)
-    assert [r.name for r in verification.run_all(4) if not r.passed] == ["forest-counts", "cyclo-lattice-count"]
+    assert [r.name for r in verification.run_all(4) if not r.passed] == ["forest-counts", "cyclo-routes"]
+
+
+@pytest.mark.parametrize("n_max, jobs", [(7, 1), (3, 2)])
+def test_one_brute_pass_per_n(monkeypatch, n_max, jobs):
+    # the volume and the lattice count of each n come from one pass, so
+    # verify walks the generator subsets once per n
+    parallel_sum, calls = zonotope._parallel_sum, []
+
+    def counted(n, jobs):
+        calls.append((n, jobs))
+        return parallel_sum(n, jobs)
+
+    monkeypatch.setattr(zonotope, "_parallel_sum", counted)
+    assert all(r.passed for r in verification.run_all(n_max, jobs=jobs))
+    assert calls == [(n, jobs) for n in range(2, min(n_max, zonotope.BRUTE_MAX) + 1)]
