@@ -285,15 +285,12 @@ def _forests_divisible(d: int, n: int) -> list[int]:
     table = _DIVISIBLE_TABLES.get(d, [1])
     if len(table) > n:
         return table
-    table = list(table)
+    start = len(table)
+    table = table + [0] * (n + 1 - start)
     comb = math.comb
-    for m in range(len(table), n + 1):
-        table.append(
-            sum([comb(m - 1, k - 1) * (k ** (k - 2) if k > 2 else 1) * table[m - k]
-                 for k in range(d, m + 1, d)])
-            if m % d == 0
-            else 0
-        )
+    trees = {k: k ** (k - 2) if k > 2 else 1 for k in range(d, n + 1, d)}  # k^(k-2) trees on [k]
+    for m in range(start + -start % d, n + 1, d):  # the new multiples of d
+        table[m] = sum([comb(m - 1, k - 1) * trees[k] * table[m - k] for k in range(d, m + 1, d)])
     _DIVISIBLE_TABLES[d] = table  # publish only the finished list
     return table
 

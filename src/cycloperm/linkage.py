@@ -9,7 +9,11 @@ a_k = #{k-subsets S of [n] with S + {n+1} short}.
 One table per linkage, built at validation: the (size, sum) table over the
 first n bars, scaled to integers over their common denominator, up to half
 of room = sum(first n) - last.  It gives the wall check and the profile,
-which the spec keeps.  The Betti numbers and the volume read the profile,
+which the spec keeps.  The kernel is chosen from n and room before any
+work: packed int rows, one per size with an (n + 1)-bit count per sum, when
+a row fits _PACKED_ROW_BITS (dense sums, a shift and a mask per step), else
+a dict per size with one entry per distinct sum (wide sums: long runs of
+equal bars, pairwise-coprime denominators).  The Betti numbers and the volume read the profile,
 and so does the f-vector: a set of bars is short iff its complement is
 long, and a partition of the bars has at most one long block, so the
 f-vector follows from the profile and Stirling numbers.  The set-partition
@@ -48,7 +52,16 @@ class TriangleViolationError(LinkageError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
+    """Fraction(x), with a decimal float read from its shortest repr.  A
+    Fraction and an ASCII digit string p or p/q skip the parse; any other
+    string (signs, spaces, decimals, non-ASCII digits) goes to Fraction."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is str:
+        p, slash, q = x.partition("/")
+        if p.isascii() and p.isdigit() and (q.isascii() and q.isdigit() or not slash):
+            return Fraction(int(p), int(q) if slash else 1)
+    elif isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
 
@@ -94,6 +107,47 @@ def _subset_sums(ints: Sequence[int], room: int) -> list[dict[int, int]]:
     return ways
 
 
+def _packed_sums(ints: Sequence[int], half: int) -> list[int]:
+    """The table of `_subset_sums` packed as one int per size k: field s,
+    w = len(ints) + 1 bits wide, counts the k-subsets with sum s <= half.  A
+    count is at most C(len(ints), k) < 2^w - 1, so no field carries into the
+    next, and the mask drops the sums past half."""
+    w = len(ints) + 1
+    mask = (1 << w * (half + 1)) - 1
+    rows = [1] + [0] * len(ints)
+    for i, x in enumerate(sorted(ints, reverse=True)):
+        limit = half - x
+        if limit < 0:
+            continue
+        for k in range(min(i, limit // x), -1, -1):
+            rows[k + 1] += (rows[k] << w * x) & mask
+    return rows
+
+
+# Widest row, in bits, that `_short_table` packs.  The packed kernel costs
+# one pass over a row per (bar, size) step, the dict kernel one step per
+# distinct sum; runs of equal bars keep one sum per size, where past this
+# width the packed rows are the slower (see CHANGES.md for the grid).
+_PACKED_ROW_BITS = 1 << 12
+
+
+def _short_table(rest: Sequence[int], room: int) -> tuple[bool, tuple[int, ...]]:
+    """(wall, profile) of the (size, sum) table over `rest` up to half of
+    room: wall when room is even and some subset sums to room / 2, and
+    profile[k] the number of k-subsets with 2 sum <= room.  The kernel is
+    chosen from n = len(rest) and room alone: packed int rows when a row of
+    (n + 1)(room // 2 + 1) bits fits _PACKED_ROW_BITS, else the dict DP."""
+    half = room // 2
+    w = len(rest) + 1
+    if w * (half + 1) <= _PACKED_ROW_BITS:
+        rows = _packed_sums(rest, half)
+        wall = room % 2 == 0 and any(r >> w * half for r in rows)
+        return wall, tuple(r % ((1 << w) - 1) for r in rows)
+    ways = _subset_sums(rest, room)
+    wall = room % 2 == 0 and any(half in t for t in ways)
+    return wall, tuple(sum(t.values()) for t in ways)
+
+
 def _table_bound(ints: Sequence[int], cap: int) -> int:
     """An upper bound on the steps of the table loop over the first n of
     these scaled lengths (longest last): one per bar i and size k <= i, plus
@@ -120,7 +174,8 @@ class LinkageSpec(_Value):
     """Validated bar lengths; construction raises a LinkageError subclass on
     non-positive lengths, a longest bar out of place, a vanishing signed sum
     (wall), or a violated triangle inequality, in that order.  It builds the
-    (size, sum) table once and keeps the short-set profile in a slot outside
+    (size, sum) table once, as packed int rows or as dicts (see
+    _short_table), and keeps the short-set profile in a slot outside
     equality, hash and repr; pickle and copy rebuild it."""
 
     __slots__ = ("lengths", "_profile")
@@ -129,16 +184,15 @@ class LinkageSpec(_Value):
     def __init__(self, lengths: Iterable):
         lengths, ints = _scaled_lengths(lengths)
         *rest, last = ints
-        room = sum(rest) - last
-        ways = _subset_sums(rest, room)
         # of a subset summing to half the perimeter and its complement, one
         # holds the last bar, and its other bars sum to room / 2; room >= 0
-        # here, and at room = 0 the empty set (ways[0] = {0: 1}) is such a
-        # subset, so a last bar of exactly half the perimeter is a wall
-        if room % 2 == 0 and any(room // 2 in w for w in ways):
+        # here, and at room = 0 the empty set is such a subset, so a last
+        # bar of exactly half the perimeter is a wall
+        wall, profile = _short_table(rest, sum(rest) - last)
+        if wall:
             raise WallHitError("a subset of bars sums to half the perimeter")
         # no sum is room / 2 now, so every kept S has S + {last} short
-        self._set(lengths, tuple(sum(w.values()) for w in ways))
+        self._set(lengths, profile)
 
     @property
     def bar_count(self) -> int:
@@ -183,9 +237,8 @@ def a_profile(spec: LinkageSpec) -> tuple[int, ...]:
 def moduli_volume_theorem(spec: LinkageSpec) -> NormalizedVolume:
     """Volume of M(L) as n * sum_k (-1)^k a_k (n-k)^(n-2) over sqrt(n)."""
     n = spec.n
-    prof = spec._profile
-    s = sum((-1) ** k * prof[k] * (n - k) ** (n - 2) for k in range(n + 1))
-    return NormalizedVolume(Fraction(n * s), n)
+    terms = [a * (n - k) ** (n - 2) for k, a in enumerate(spec._profile)]
+    return NormalizedVolume(n * (sum(terms[::2]) - sum(terms[1::2])), n)
 
 
 # Largest n (bars - 1) that moduli_volume_forests accepts; equilateral_volume
@@ -369,8 +422,8 @@ def equilateral_volume(m: int) -> EquilateralVolumeComparison:
     if m < 2:
         raise ValueError("need m >= 2")
     n = 2 * m
-    s = sum((-1) ** k * math.comb(n, k) * (n - k) ** (n - 2) for k in range(m + 1))
-    display = NormalizedVolume(Fraction(n * s), n)
+    terms = [math.comb(n, k) * (n - k) ** (n - 2) for k in range(m + 1)]
+    display = NormalizedVolume(n * (sum(terms[::2]) - sum(terms[1::2])), n)
     spec = LinkageSpec((1,) * (n + 1))
     theorem = moduli_volume_theorem(spec)
     forest = moduli_volume_forests(spec) if n <= EQUILATERAL_FOREST_MAX else None

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cycloperm import linkage
@@ -102,20 +103,73 @@ def test_a_profiles():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)), min_size=3, max_size=8))
 def test_subset_sum_dps_match_enumeration(pairs):
-    # small numerators over mixed denominators: walls are frequent
+    # small numerators over mixed denominators: walls are frequent.  Each
+    # kernel is forced in turn: the dict DP by a zero row width, the packed
+    # rows by an unbounded one
     lengths = sorted(Fraction(v, d) for v, d in pairs)
     wall = hits_wall_by_subsets(lengths)
-    try:
-        spec = validate(lengths)
-    except WallHitError:
-        assert wall
-        return
-    except TriangleViolationError:  # raised only past the wall check
+    for row_bits in (0, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linkage, "_PACKED_ROW_BITS", row_bits)
+            try:
+                spec = validate(lengths)
+            except WallHitError:
+                assert wall
+                continue
+            except TriangleViolationError:  # raised only past the wall check
+                assert not wall
+                continue
         assert not wall
-        return
-    assert not wall
-    assert a_profile(spec) == profile_by_subsets(spec)
-    assert f_vector(spec) == f_vector_by_partitions(spec)
+        assert a_profile(spec) == profile_by_subsets(spec)
+        assert f_vector(spec) == f_vector_by_partitions(spec)
+
+
+def test_packed_fields_hold_the_largest_count():
+    # 12 bars of 1 before the last: a_5 = C(12, 5) = 792 fills 10 of a field's 13 bits
+    assert a_profile(validate((1,) * 13)) == tuple(math.comb(12, k) if k <= 5 else 0 for k in range(13))
+
+
+_ASCII_RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/.+- _e\u0663\u00b2\uff15", max_size=8))
+@example("3 /4")
+@example("\u0663/4")
+@example("1_0")
+@example("3/0")
+@example("06/04")
+def test_coercion_matches_fraction(text):
+    # the value or the exception type of Fraction(text); and only ASCII
+    # digit strings p or p/q skip Fraction's parser
+    parsed = []
+
+    class Recording(Fraction):
+        def __new__(cls, *args):
+            parsed.extend(a for a in args if isinstance(a, str))
+            return Fraction(*args)
+
+    try:
+        expected = Fraction(text)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            linkage._as_fraction(text)
+    else:
+        got = linkage._as_fraction(text)
+        assert type(got) is Fraction and got == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linkage, "Fraction", Recording)
+        try:
+            linkage._as_fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    assert (text in parsed) == (_ASCII_RATIONAL.fullmatch(text) is None)
+
+
+def test_coercion_keeps_a_fraction():
+    x = Fraction(6, 5)
+    assert linkage._as_fraction(x) is x
+    assert linkage._as_fraction(1.2) == x
 
 
 @settings(max_examples=150, deadline=None)
@@ -154,12 +208,42 @@ def test_short_sets_by_the_complement_identity(pairs):
         assert short == math.comb(n, j) - a(n - j) + a(j - 1)
 
 
+# small linkages whose sums are dense: the packed kernel builds their table
+DENSE = (("1.2", 1, 1, "0.8", "2.2"), (1,) * 13, [Fraction(v, 8) for v in range(20, 32)] + [Fraction(33, 8)])
+
+
+def _kernel_calls(monkeypatch) -> list[str]:
+    calls = []
+    for name in ("_packed_sums", "_subset_sums"):
+        kernel = getattr(linkage, name)
+        monkeypatch.setattr(linkage, name, lambda *args, k=kernel, name=name: calls.append(name) or k(*args))
+    return calls
+
+
+def test_dense_sums_take_the_packed_rows(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    for lengths in DENSE:
+        calls.clear()
+        validate(lengths)
+        assert calls == ["_packed_sums"]
+
+
+def test_wide_sums_take_the_dict_table(monkeypatch):
+    # pairwise-coprime denominators, and a long run of equal bars
+    calls = _kernel_calls(monkeypatch)
+    odd_primes = [p for p in range(3, 60) if all(p % q for q in range(2, p))][:16]
+    coprime = sorted(1 + Fraction(1, p) for p in odd_primes)
+    for lengths in (coprime, (1,) * 301):
+        calls.clear()
+        validate(lengths)
+        assert calls == ["_subset_sums"]
+
+
 def test_table_built_once_at_validation(monkeypatch):
     calls = []
-    table = linkage._subset_sums
-    monkeypatch.setattr(linkage, "_subset_sums", lambda *args: calls.append(args) or table(*args))
-    mixed = [Fraction(v, 8) for v in range(20, 32)] + [Fraction(33, 8)]
-    for lengths in (("1.2", 1, 1, "0.8", "2.2"), (1,) * 13, mixed):
+    table = linkage._short_table
+    monkeypatch.setattr(linkage, "_short_table", lambda *args: calls.append(args) or table(*args))
+    for lengths in DENSE:
         calls.clear()
         spec = validate(lengths)
         assert len(calls) == 1
