@@ -109,7 +109,7 @@ def _record(quantity: str, value, method: str, n: int) -> ResultRecord:
 
 # The single-n routes: (group, sub, method) -> (module, function, largest n);
 # the method is the record's label.  A brute row leaves its cap to the
-# function, which refuses before any walk.
+# function, which refuses before any pass.
 _ROUTES = {
     ("cyclo", "volume", "brute"): ("zonotope", "volume_bruteforce", None),
     ("cyclo", "volume", "forests"): ("zonotope", "volume_by_forests", CLOSED_N_MAX),

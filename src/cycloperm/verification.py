@@ -104,7 +104,7 @@ def _check_cyclo_routes(n_max: int, jobs: int) -> str:
     # top level and the lattice count adds the lower levels
     brute_top = min(n_max, zonotope.BRUTE_MAX)
     for n in range(2, brute_top + 1):
-        lower, top = zonotope._parallel_sum(n, jobs)
+        lower, top = zonotope._brute_sums(n, jobs)
         forest = zonotope.volume_by_forests(n)
         _require(zonotope.NormalizedVolume(n * top, n) == forest, f"brute and forest volumes differ at n={n}")
         closed = zonotope.lattice_count_closed_form(n)

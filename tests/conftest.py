@@ -10,6 +10,7 @@ _PROCESS_TABLES = [
     (forests, "_GCD_SUMS", dict),
     (zonotope, "_LATTICE_COUNTS", dict),
     (zonotope, "_FOREST_VOLUMES", dict),
+    (zonotope, "_BRUTE_SUMS", dict),
     (linkage, "_STIRLING", lambda: [[1]]),
 ]
 

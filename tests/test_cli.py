@@ -269,9 +269,9 @@ def test_points_methods_agree(capsys):
 
 
 def test_jobs_flag(capsys):
-    # n = 7 is the first n that forks the pool; the forest sum stands in for a serial brute run
-    para = _capture(capsys, ["cyclo", "volume", "--n", "7", "--method", "brute", "--jobs", "2"])
-    base = _capture(capsys, ["cyclo", "volume", "--n", "7", "--method", "forests"])
+    # n = 8 is the first n that forks the pool; the forest sum stands in for a serial brute run
+    para = _capture(capsys, ["cyclo", "volume", "--n", "8", "--method", "brute", "--jobs", "2"])
+    base = _capture(capsys, ["cyclo", "volume", "--n", "8", "--method", "forests"])
     assert base[0] == para[0] == 0
     assert base[1].replace("method=forests", "method=brute") == para[1]
 
@@ -327,7 +327,7 @@ class _Called(Exception):
 def test_closed_routes_capped(key, n):
     # every row of the route table: n past the row's cap exits 2 before the route runs, and n
     # within it calls the route once with n; a brute row leaves the cap to the function, which
-    # refuses n outside 2..7 before the walk, and only a brute row gets --jobs
+    # refuses n outside 2..BRUTE_MAX before the pass, and only a brute row gets --jobs
     group, sub, method = key
     module, function, cap = _ROUTES[key]
     # uncapped: the brute rows and the closed volume, 0 for n >= 3
@@ -342,8 +342,8 @@ def test_closed_routes_capped(key, n):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patched, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         if method == "brute":
-            patched.setattr(zonotope, "_parallel_sum", record)
-            within = 2 <= n <= 7
+            patched.setattr(zonotope, "_brute_sums", record)
+            within = 2 <= n <= zonotope.BRUTE_MAX
         else:
             patched.setattr(importlib.import_module(f"cycloperm.{module}"), function, record)
             within = cap is None or n <= cap

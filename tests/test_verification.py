@@ -76,7 +76,7 @@ def _last_tree_repeats_first(enumerate_trees):
             ["cyclo-routes"], id="closed-volume-wrong-at-9",
         ),
         pytest.param(
-            zonotope, "_parallel_sum", lambda brute: lambda n, jobs: (brute(n, jobs)[0], 0),
+            zonotope, "_brute_pass", lambda brute: lambda n, *share: (brute(n, *share)[0], 0),
             ["cyclo-routes"], id="brute-pass-without-top",
         ),
     ],
@@ -95,14 +95,19 @@ def test_one_phi_table_feeds_the_closed_lattice_route_and_its_check(monkeypatch)
 
 @pytest.mark.parametrize("n_max, jobs", [(7, 1), (3, 2)])
 def test_one_brute_pass_per_n(monkeypatch, n_max, jobs):
-    # the volume and the lattice count of each n come from one pass, so
-    # verify walks the generator subsets once per n
-    parallel_sum, calls = zonotope._parallel_sum, []
+    # the volume and the lattice count of each n come from one pass, kept
+    # for the process: verify runs it once per n, and the brute routes
+    # read it again without a second pass
+    brute_pass, calls = zonotope._brute_pass, []
 
-    def counted(n, jobs):
-        calls.append((n, jobs))
-        return parallel_sum(n, jobs)
+    def counted(n, *share):
+        calls.append(n)
+        return brute_pass(n, *share)
 
-    monkeypatch.setattr(zonotope, "_parallel_sum", counted)
+    monkeypatch.setattr(zonotope, "_brute_pass", counted)
     assert all(r.passed for r in verification.run_all(n_max, jobs=jobs))
-    assert calls == [(n, jobs) for n in range(2, min(n_max, zonotope.BRUTE_MAX) + 1)]
+    brute_ns = range(2, min(n_max, zonotope.BRUTE_MAX) + 1)
+    for n in brute_ns:
+        assert zonotope.volume_bruteforce(n, jobs=jobs) == zonotope.volume_closed_form(n)
+        assert zonotope.lattice_count_bruteforce(n, jobs=jobs) == zonotope.lattice_count_closed_form(n)
+    assert calls == list(brute_ns)

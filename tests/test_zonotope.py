@@ -25,8 +25,7 @@ from cycloperm.zonotope import (
     _brute_pass,
     _columns,
     _generators,
-    _walk,
-    _wedge_tables,
+    _span_levels,
     edge_vector,
     forest_columns,
     lattice_count_bruteforce,
@@ -83,8 +82,8 @@ def test_volume_vanishes():
 
 
 def test_volume_bruteforce_jobs():
-    # n = 7 is the first n that forks the pool
-    assert volume_bruteforce(7, jobs=2) == volume_closed_form(7)
+    # n = 8 is the first n that forks the pool
+    assert volume_bruteforce(8, jobs=2) == volume_closed_form(8)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             volume_bruteforce(5, jobs=jobs)
@@ -94,7 +93,7 @@ def test_volume_bounds():
     with pytest.raises(ValueError):
         volume_bruteforce(1)
     with pytest.raises(ValueError):
-        volume_bruteforce(8)
+        volume_bruteforce(9)
     with pytest.raises(ValueError):
         volume_by_forests(1)
 
@@ -116,7 +115,7 @@ def test_det_of_decorated_forest_examples():
     assert abs(det_rows(forest_columns(d) + [ones_vector(4)])) == 4 ** 2 * 2
 
 
-# --- the walk over generator selections ---
+# --- the span pass over generator selections ---
 
 
 def _split(n, selection):
@@ -125,38 +124,51 @@ def _split(n, selection):
     return tuple(g for g in picked if isinstance(g, tuple)), tuple(g for g in picked if isinstance(g, int))
 
 
-@given(st.integers(2, 5), st.integers(1, 4))
-def test_strided_passes_cover_every_selection_once(n, workers):
-    # the walk's nodes, and each node at n - 2 paired with every later
-    # generator as _brute_pass pairs it
-    tables = _wedge_tables(n)
-    seen = []
-    for w in range(workers):
-        for selection, _, _ in _walk(n, tables, n - 2, w, workers):
-            seen.append(selection)
-            if len(selection) == n - 2:
-                first = selection[-1] + 1 if selection else 0
-                seen.extend(selection + (g,) for g in range(first, len(tables)))
-    assert len(set(seen)) == len(seen)
-    serial = list(generator_selections(n, range(n)))
-    assert sorted(_split(n, s) for s in seen) == sorted(serial)
-    assert len(serial) == sum(math.comb(n * (n + 1) // 2, k) for k in range(n))
+def _spans_by_size(n):
+    """For each size k <= n - 2: the primitive minor vectors on the first
+    n - 1 rows of the independent k-selections, keyed like the pass's
+    states, and the signed minor gcds of the k-selections on all n rows."""
+    spans = [set() for _ in range(n - 1)]
+    sums = [0] * (n - 1)
+    for edges, marks in generator_selections(n, range(n - 1)):
+        cols = _columns(n, edges, marks)
+        k = len(cols)
+        minors = {
+            sum(1 << r for r in rows): det_rows([[c[r] for c in cols] for r in rows])
+            for rows in combinations(range(n - 1), k)
+        }
+        coords = sorted((S, x) for S, x in minors.items() if x)
+        if coords:
+            d = math.gcd(*minors.values()) * (1 if coords[0][1] > 0 else -1)
+            spans[k].add(tuple(y for S, x in coords for y in (S, x // d)))
+        sums[k] += (-1) ** len(marks) * minor_gcd(cols)
+    return spans, sums
 
 
-def test_walk_coordinates_are_the_minors():
-    # every node against the Bareiss minors of its columns on the first
-    # n - 1 rows, ascending, sign included
-    for n in range(2, 6):
-        for selection, state, marks in _walk(n, _wedge_tables(n), n - 1):
-            edges, radials = _split(n, selection)
-            cols = _columns(n, edges, radials)
-            minors = {}
-            for picked in combinations(range(n - 1), len(cols)):
-                d = det_rows([[c[r] for c in cols] for r in picked])
-                if d:
-                    minors[sum(1 << r for r in picked)] = d
-            assert state == minors
-            assert marks == len(radials)
+# states per level of the span pass at n = 2..7; merging the selections only
+# up to sign, not up to scale, would keep 1, 21, 155, 480, 571 at n = 6
+_SPAN_COUNTS = {
+    2: [1],
+    3: [1, 6],
+    4: [1, 10, 25],
+    5: [1, 15, 65, 90],
+    6: [1, 21, 140, 350, 301],
+    7: [1, 28, 266, 1050, 1701, 966],
+}
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_span_levels_are_the_oracle_spans(n):
+    # one state per span, keyed by the minors of its selections divided by
+    # their gcd; per level, the weights of the worker shares add up to the
+    # signed minor gcds of every selection on all n rows, each taken once
+    spans, sums = _spans_by_size(n)
+    levels, _ = _span_levels(n)
+    assert [set(level) for level in levels] == spans
+    assert [len(level) for level in levels] == _SPAN_COUNTS[n]
+    for workers in (1, 2, 3):
+        shares = [_span_levels(n, w, workers)[0] for w in range(workers)]
+        assert [sum(sum(share[k].values()) for share in shares) for k in range(n - 1)] == sums
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -174,29 +186,38 @@ def test_brute_pass_is_the_definition(n):
         assert tuple(map(sum, zip(*parts))) == (lower, top)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_brute_pass_walk_size(n, monkeypatch):
-    # the work, not a time: across the workers, the pass visits the
-    # selections of at most n - 2 generators once each and takes one
-    # |minor| per (n - 1)-selection
-    walk, nodes, pairs = zonotope._walk, [], []
+@pytest.mark.parametrize("n", range(2, 8))
+def test_brute_pass_walk_size(n):
+    # the work, not a time: the pass keeps one state per span of at most
+    # n - 2 generators, not one per selection
+    assert [len(level) for level in _span_levels(n)[0]] == _SPAN_COUNTS[n]
 
-    def counted_walk(*args):
-        for node in walk(*args):
-            nodes.append(len(node[0]))
-            yield node
 
-    monkeypatch.setattr(zonotope, "_walk", counted_walk)
-    monkeypatch.setattr(zonotope, "abs", lambda x: pairs.append(x) or abs(x), raising=False)
-    generators = n * (n + 1) // 2
-    for workers in (1, 2):
-        nodes.clear()
-        pairs.clear()
-        for w in range(workers):
-            _brute_pass(n, w, workers)
-        assert len(nodes) == sum(math.comb(generators, k) for k in range(n - 1))
-        assert max(nodes) == n - 2
-        assert len(pairs) == math.comb(generators, n - 1)
+# n * top and lower + top with every radial sign +1: the volume
+# n^(n-1) 2^(n-2) (n+1) and the points of the zonotope sum(q_ij) + sum(r_i),
+# which at n = 6 are 2932 + 16386 + 48330 + 61200 + 35640 + 7776, the
+# absolute coefficients of the lattice count by radial count
+_UNSIGNED = {
+    2: (6, 4),
+    3: (72, 31),
+    4: (1_280, 394),
+    5: (30_000, 7_211),
+    6: (870_912, 172_264),
+    7: (30_118_144, None),
+    8: (1_207_959_552, None),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unsigned_sums_keep_the_top_level(monkeypatch, n):
+    # the signed top is 0 for every n >= 3, so a pass that dropped its top
+    # level would pass the signed checks from n = 3 on
+    monkeypatch.setattr(zonotope, "_RADIAL_SIGN", 1)
+    volume, points = _UNSIGNED[n]
+    assert volume == n ** (n - 1) * 2 ** (n - 2) * (n + 1)
+    lower, top = _brute_pass(n)
+    assert n * top == volume
+    assert points in (None, lower + top)
 
 
 def _ones_column_identity(n, edges, marks):
@@ -219,14 +240,6 @@ def test_det_with_ones_column_random_selections(n, data):
     generators = st.integers(0, len(_generators(n)) - 1)
     selection = data.draw(st.lists(generators, min_size=n - 1, max_size=n - 1, unique=True))
     _ones_column_identity(n, *_split(n, selection))
-
-
-def test_dropped_row_keeps_the_brick_count():
-    # the walk's gcd on n - 1 rows is the minor gcd on all n rows
-    for n in range(2, 6):
-        for selection, state, _ in _walk(n, _wedge_tables(n), n - 1):
-            columns = _columns(n, *_split(n, selection))
-            assert math.gcd(*state.values()) == minor_gcd(columns)
 
 
 # --- sharp and lattice counts ---
@@ -260,7 +273,7 @@ def test_lattice_count_routes_agree_n5():
 
 
 def test_lattice_count_jobs():
-    assert lattice_count_bruteforce(7, jobs=2) == lattice_count_closed_form(7)
+    assert lattice_count_bruteforce(8, jobs=2) == lattice_count_closed_form(8) == 348_852
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             lattice_count_bruteforce(4, jobs=jobs)
@@ -270,7 +283,7 @@ def test_lattice_count_bounds():
     with pytest.raises(ValueError):
         lattice_count_bruteforce(1)
     with pytest.raises(ValueError):
-        lattice_count_bruteforce(8)
+        lattice_count_bruteforce(9)
     with pytest.raises(ValueError):
         lattice_count_closed_form(1)
 
@@ -333,6 +346,21 @@ def test_closed_routes_answer_a_repeat_from_the_tables(monkeypatch, n):
     monkeypatch.setattr(zonotope, "math", _NoMath())
     assert [route(n) for route in routes] == first
     assert [route(n) for route in reversed(routes)] == first[::-1]
+
+
+@pytest.mark.parametrize("n, first", [(2, volume_bruteforce), (5, lattice_count_bruteforce)])
+def test_brute_routes_answer_a_repeat_from_the_table(monkeypatch, n, first):
+    # one pass per n per process: after one call of either route, both
+    # routes in either order read the stored sums, still validating jobs
+    first(n)
+    monkeypatch.setattr(zonotope, "_brute_pass", _recomputed)
+    routes = (volume_bruteforce, lattice_count_bruteforce)
+    values = [volume_closed_form(n), lattice_count_closed_form(n)]
+    assert [route(n) for route in routes] == values
+    assert [route(n) for route in reversed(routes)] == values[::-1]
+    for route in routes:
+        with pytest.raises(ValueError, match="jobs"):
+            route(n, jobs=0)
 
 
 def test_permutohedron_lattice_count():
