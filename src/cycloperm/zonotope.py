@@ -97,12 +97,11 @@ def _generators(n: int) -> list:
     return list(combinations(range(1, n + 1), 2)) + list(range(1, n + 1))
 
 
-def _span_levels(n: int, worker: int = 0, workers: int = 1) -> tuple[list[dict], int]:
-    """The defining sums over the selections whose first generator is
-    worker mod workers (worker 0 also takes the empty one), one state per
-    span.  Every generator lies in sum(x) = 0, whose lattice maps one to
-    one onto Z^(n-1) by dropping the last coordinate, so a span's key is
-    its primitive Pluecker vector on the first n - 1 rows: (row bitmask,
+def _span_levels(n: int) -> tuple[list[dict], int]:
+    """The defining sums over the generator selections, one state per span.
+    Every generator lies in sum(x) = 0, whose lattice maps one to one onto
+    Z^(n-1) by dropping the last coordinate, so a span's key is its
+    primitive Pluecker vector on the first n - 1 rows: (row bitmask,
     minor, ...) over the nonzero minors over their gcd, first one positive.
     levels[k][span] sums (-1)^(#radials) * gcd(minors) over its independent
     k-selections, k <= n - 2.  Adding generator g wedges each state with
@@ -111,8 +110,7 @@ def _span_levels(n: int, worker: int = 0, workers: int = 1) -> tuple[list[dict],
     gens = _generators(n)
     edges = len(gens) - n
     full = (1 << n - 1) - 1
-    seed = {(0, 1): 1}
-    levels = [seed if worker == 0 else {}] + [{} for _ in range(n - 2)]
+    levels = [{(0, 1): 1}] + [{} for _ in range(n - 2)]
     top = 0
     for g, c in enumerate(_columns(n, gens[:edges], gens[edges:])):
         sign = _RADIAL_SIGN if g >= edges else 1
@@ -122,14 +120,13 @@ def _span_levels(n: int, worker: int = 0, workers: int = 1) -> tuple[list[dict],
             for S in range(full + 1)
         ]
         for k in reversed(range(n - 1)):
-            states = levels[k] if k else seed if g % workers == worker else {}
             if k == n - 2:
                 last = [sum(v for T, v in terms if T == full) for terms in wedge]
-                for span, weight in states.items():
+                for span, weight in levels[k].items():
                     top += sign * weight * abs(sum(x * last[S] for S, x in zip(span[::2], span[1::2])))
                 continue
             target = levels[k + 1]
-            for span, weight in states.items():
+            for span, weight in levels[k].items():
                 minors: dict[int, int] = {}
                 pairs = iter(span)
                 for S, x in zip(pairs, pairs):
@@ -144,11 +141,11 @@ def _span_levels(n: int, worker: int = 0, workers: int = 1) -> tuple[list[dict],
     return levels, top
 
 
-def _brute_pass(n: int, worker: int = 0, workers: int = 1) -> tuple[int, int]:
-    """One worker's share (lower, top) of the defining sums: lower sums the
-    weights of every level of _span_levels, the selections of at most n - 2
-    generators, and top is its (n - 1)-selection sum."""
-    levels, top = _span_levels(n, worker, workers)
+def _brute_pass(n: int) -> tuple[int, int]:
+    """(lower, top) of the defining sums: lower sums the weights of every
+    level of _span_levels, the selections of at most n - 2 generators, and
+    top is its (n - 1)-selection sum."""
+    levels, top = _span_levels(n)
     return sum(sum(level.values()) for level in levels), top
 
 
@@ -158,24 +155,15 @@ _BRUTE_SUMS: dict[int, tuple[int, int]] = {}
 
 
 def _brute_sums(n: int, jobs: int) -> tuple[int, int]:
-    """_brute_pass(n) summed over its workers, once per process.  With
-    jobs > 1 and n >= 8, each of min(jobs, cpu_count()) fork-pool workers
-    runs its share: on a 2-vCPU machine two workers beat serial at n = 8 in
-    8 of 10 alternating runs (median 0.78 s against 1.12 s) and tied at
-    n = 7 (0.105 s against 0.104 s)."""
+    """_brute_pass(n), once per process.  jobs is a cap on worker
+    processes, validated but not used: the pass runs serially, since two
+    fork-pool workers split by first generator beat it at n = 8 in only
+    8 of 10 alternating runs on a 2-vCPU machine, and tied at n = 7."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sums = _BRUTE_SUMS.get(n)
     if sums is None:
-        if jobs > 1 and n >= 8:
-            import multiprocessing as mp
-
-            workers = min(jobs, mp.cpu_count())
-            with mp.get_context("fork").Pool(workers) as pool:
-                parts = pool.starmap(_brute_pass, [(n, w, workers) for w in range(workers)])
-        else:
-            parts = [_brute_pass(n)]
-        sums = _BRUTE_SUMS[n] = tuple(map(sum, zip(*parts)))
+        sums = _BRUTE_SUMS[n] = _brute_pass(n)
     return sums
 
 

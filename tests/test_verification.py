@@ -76,7 +76,7 @@ def _last_tree_repeats_first(enumerate_trees):
             ["cyclo-routes"], id="closed-volume-wrong-at-9",
         ),
         pytest.param(
-            zonotope, "_brute_pass", lambda brute: lambda n, *share: (brute(n, *share)[0], 0),
+            zonotope, "_brute_pass", lambda brute: lambda n: (brute(n)[0], 0),
             ["cyclo-routes"], id="brute-pass-without-top",
         ),
     ],
@@ -100,9 +100,9 @@ def test_one_brute_pass_per_n(monkeypatch, n_max, jobs):
     # read it again without a second pass
     brute_pass, calls = zonotope._brute_pass, []
 
-    def counted(n, *share):
+    def counted(n):
         calls.append(n)
-        return brute_pass(n, *share)
+        return brute_pass(n)
 
     monkeypatch.setattr(zonotope, "_brute_pass", counted)
     assert all(r.passed for r in verification.run_all(n_max, jobs=jobs))
