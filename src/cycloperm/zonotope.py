@@ -7,11 +7,13 @@ lattice-point count are alternating sums over generator selections; both
 sums collapse to closed forms through decorated forests.  The brute routes
 evaluate the sums as defined, with equal terms grouped: a selection's
 semiopen brick (Stanley's half-open parallelepiped) has the gcd of its
-maximal minors as its points, so one pass over the generators keeps a
-signed weight per span, not per selection.  Both routes read one pass per
-n, _brute_sums: the volume is n times its top level, since det[C | 1] =
-n * det(C on the first n - 1 rows), and the lattice count adds the lower
-levels.
+maximal minors as its points, so the pass keeps a signed weight per span,
+not per selection.  A permutation of [n] permutes the generators up to
+sign, so the selections with marks {1..m} stand for all C(n, m) marks
+sets of size m: one program per m adds the edges to the span of
+r_1..r_m.  Both routes read one pass per n, _brute_sums: the volume is n
+times its top level, since det[C | 1] = n * det(C on the first n - 1
+rows), and the lattice count adds the lower levels.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
 exact rational c and the radicand n travel together in NormalizedVolume.
@@ -84,69 +86,80 @@ def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
 
 
 # Largest n that the brute routes accept: `cyclo points --n 8 --method
-# brute` took 1.1-1.5 s and 25 MB peak RSS as a command on a 2-vCPU machine.
+# brute` took 0.5 s and 21 MB peak RSS as a command on a 2-vCPU machine.
 BRUTE_MAX = 8
 
 # The sign of a radial in the defining sums; +1 gives those of sum(q_ij) + sum(r_i).
 _RADIAL_SIGN = -1
 
 
-def _generators(n: int) -> list:
-    """The generators in the order the pass adds them: the edges (i, j) in
-    lexicographic order, then the radial marks 1..n."""
-    return list(combinations(range(1, n + 1), 2)) + list(range(1, n + 1))
+def _wedge_terms(n: int, c) -> list[list[tuple[int, int]]]:
+    """e_S ^ c for each row set S of the first n - 1 rows: the terms
+    (S + r, +-c_r), one per row r outside S, signed by the rows of S above r."""
+    return [
+        [(S | 1 << r, -c[r] if (S >> r).bit_count() % 2 else c[r]) for r in range(n - 1) if c[r] and not S >> r & 1]
+        for S in range(1 << n - 1)
+    ]
 
 
-def _span_levels(n: int) -> tuple[list[dict], int]:
-    """The defining sums over the generator selections, one state per span.
-    Every generator lies in sum(x) = 0, whose lattice maps one to one onto
+def _wedge(span: tuple, terms: list) -> tuple[tuple, int] | None:
+    """The key of span ^ c and the gcd q of its minors, from c's
+    _wedge_terms; None when c lies in the span."""
+    minors: dict[int, int] = {}
+    pairs = iter(span)
+    for S, x in zip(pairs, pairs):
+        for T, v in terms[S]:
+            minors[T] = minors.get(T, 0) + v * x
+    coords = sorted((T, x) for T, x in minors.items() if x)
+    if not coords:
+        return None
+    q = math.gcd(*(x for _, x in coords))
+    d = q if coords[0][1] > 0 else -q
+    return tuple(y for T, x in coords for y in (T, x // d)), q
+
+
+def _span_levels(n: int) -> list[list[dict]]:
+    """The defining sums over the generator selections whose marks are
+    {1..m}, one program per m = 0..n - 1 and one state per span.  Every
+    generator lies in sum(x) = 0, whose lattice maps one to one onto
     Z^(n-1) by dropping the last coordinate, so a span's key is its
     primitive Pluecker vector on the first n - 1 rows: (row bitmask,
     minor, ...) over the nonzero minors over their gcd, first one positive.
-    levels[k][span] sums (-1)^(#radials) * gcd(minors) over its independent
-    k-selections, k <= n - 2.  Adding generator g wedges each state with
-    g's column; the wedge's gcd q scales the weight.  top: each wedge of a
-    level n - 2 state adds +-weight * |its one minor|."""
-    gens = _generators(n)
-    edges = len(gens) - n
-    full = (1 << n - 1) - 1
-    levels = [{(0, 1): 1}] + [{} for _ in range(n - 2)]
-    top = 0
-    for g, c in enumerate(_columns(n, gens[:edges], gens[edges:])):
-        sign = _RADIAL_SIGN if g >= edges else 1
-        # e_S ^ c = sum over rows r outside S of (-1)^(rows of S above r) c_r e_(S+r)
-        wedge = [
-            [(S | 1 << r, -c[r] if (S >> r).bit_count() % 2 else c[r]) for r in range(n - 1) if c[r] and not S >> r & 1]
-            for S in range(full + 1)
-        ]
-        for k in reversed(range(n - 1)):
-            if k == n - 2:
-                last = [sum(v for T, v in terms if T == full) for terms in wedge]
-                for span, weight in levels[k].items():
-                    top += sign * weight * abs(sum(x * last[S] for S, x in zip(span[::2], span[1::2])))
-                continue
-            target = levels[k + 1]
-            for span, weight in levels[k].items():
-                minors: dict[int, int] = {}
-                pairs = iter(span)
-                for S, x in zip(pairs, pairs):
-                    for T, v in wedge[S]:
-                        minors[T] = minors.get(T, 0) + v * x
-                coords = sorted((T, x) for T, x in minors.items() if x)
-                if coords:
-                    q = math.gcd(*(x for _, x in coords))
-                    d = q if coords[0][1] > 0 else -q
-                    key = tuple(y for T, x in coords for y in (T, x // d))
-                    target[key] = target.get(key, 0) + sign * q * weight
-    return levels, top
+    levels[j][span] sums _RADIAL_SIGN^m * gcd(minors) over the independent
+    selections of the m radials and j edges, m + j <= n - 1; the last level
+    holds the one full span.  The start, the span of r_1..r_m, is built by
+    the same wedge as the edges: adding a column wedges each state with it,
+    and the wedge's gcd q scales the weight."""
+    edge_terms = [_wedge_terms(n, edge_vector(n, i, j)) for i, j in combinations(range(1, n + 1), 2)]
+    programs = []
+    start, weight = (0, 1), 1
+    for m in range(n):
+        if m:
+            start, q = _wedge(start, _wedge_terms(n, radial_vector(n, m)))
+            weight *= _RADIAL_SIGN * q
+        levels = [{start: weight}] + [{} for _ in range(n - 1 - m)]
+        for terms in edge_terms:
+            for j in reversed(range(n - 1 - m)):
+                target = levels[j + 1]
+                for span, w in levels[j].items():
+                    if wedged := _wedge(span, terms):
+                        key, q = wedged
+                        target[key] = target.get(key, 0) + q * w
+        programs.append(levels)
+    return programs
 
 
 def _brute_pass(n: int) -> tuple[int, int]:
-    """(lower, top) of the defining sums: lower sums the weights of every
-    level of _span_levels, the selections of at most n - 2 generators, and
-    top is its (n - 1)-selection sum."""
-    levels, top = _span_levels(n)
-    return sum(sum(level.values()) for level in levels), top
+    """(lower, top) of the defining sums: lower sums the selections of at
+    most n - 2 generators, top the (n - 1)-selections.  Every marks set of
+    size m sums as {1..m} does, so program m of _span_levels counts
+    C(n, m) times."""
+    lower = top = 0
+    for m, levels in enumerate(_span_levels(n)):
+        copies = math.comb(n, m)
+        lower += copies * sum(sum(level.values()) for level in levels[:-1])
+        top += copies * sum(levels[-1].values())
+    return lower, top
 
 
 # n -> (lower, top) of the defining sums, kept for the life of the process
@@ -174,8 +187,8 @@ def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     """Volume of the cyclopermutohedron by the defining alternating sum over
     all (n-1)-subsets of generators, each contributing |det| (with the
     all-ones column) with sign (-1)^(#radials): n times the top of
-    _brute_sums.  Cost grows with the spans, not the subsets: about 0.1 s
-    at n = 7 and 1.2 s at n = 8 on a cold pass; refuse past BRUTE_MAX."""
+    _brute_sums.  Cost grows with the spans, not the subsets: about 0.06 s
+    at n = 7 and 0.5 s at n = 8 on a cold pass; refuse past BRUTE_MAX."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     if n > BRUTE_MAX:

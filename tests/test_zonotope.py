@@ -24,7 +24,6 @@ from cycloperm.zonotope import (
     NormalizedVolume,
     _brute_pass,
     _columns,
-    _generators,
     _span_levels,
     edge_vector,
     forest_columns,
@@ -118,19 +117,52 @@ def test_det_of_decorated_forest_examples():
 # --- the span pass over generator selections ---
 
 
+def _generators(n):
+    """The generators by index: the edges (i, j) in lexicographic order,
+    then the radial marks 1..n."""
+    return list(combinations(range(1, n + 1), 2)) + list(range(1, n + 1))
+
+
 def _split(n, selection):
     """(edges, marks) of a selection of generator indices."""
     picked = [_generators(n)[g] for g in selection]
     return tuple(g for g in picked if isinstance(g, tuple)), tuple(g for g in picked if isinstance(g, int))
 
 
-def _spans_by_size(n):
-    """For each size k <= n - 2: the primitive minor vectors on the first
-    n - 1 rows of the independent k-selections, keyed like the pass's
-    states, and the signed minor gcds of the k-selections on all n rows."""
-    spans = [set() for _ in range(n - 1)]
-    sums = [0] * (n - 1)
-    for edges, marks in generator_selections(n, range(n - 1)):
+@pytest.mark.parametrize("n", range(2, 6))
+def test_marks_sets_of_one_size_sum_alike(n):
+    # the argument the pass's C(n, m) weights rest on, from the definition
+    # alone: a permutation of [n] maps the generators onto themselves up to
+    # sign and keeps the lattice, so every marks set of size m sums alike,
+    # for the signed minor gcds on all n rows and for the signed
+    # (n - 1)-selection |minors| on the first n - 1 rows
+    terms = (
+        (range(n - 1), minor_gcd),
+        ((n - 1,), lambda cols: abs(det_rows([c[:-1] for c in cols]))),
+    )
+    for sizes, term in terms:
+        sums = {}
+        for edges, marks in generator_selections(n, sizes):
+            sums[marks] = sums.get(marks, 0) + (-1) ** len(marks) * term(_columns(n, edges, marks))
+        by_size = {}
+        for marks, total in sums.items():
+            by_size.setdefault(len(marks), set()).add(total)
+        assert all(len(totals) == 1 for totals in by_size.values())
+        prefixes = sum(math.comb(n, m) * sums[tuple(range(1, m + 1))] for m in by_size)
+        assert prefixes == sum(sums.values())
+
+
+def _spans_by_marks(n):
+    """For each m and each edge count j, m + j <= n - 1: the primitive minor
+    vectors on the first n - 1 rows of the independent selections with marks
+    {1..m} and j edges, keyed like the pass's states, and the signed minor
+    gcds of those selections on all n rows."""
+    spans = [[set() for _ in range(n - m)] for m in range(n)]
+    sums = [[0] * (n - m) for m in range(n)]
+    for edges, marks in generator_selections(n, range(n)):
+        m = len(marks)
+        if marks != tuple(range(1, m + 1)):
+            continue
         cols = _columns(n, edges, marks)
         k = len(cols)
         minors = {
@@ -140,32 +172,37 @@ def _spans_by_size(n):
         coords = sorted((S, x) for S, x in minors.items() if x)
         if coords:
             d = math.gcd(*minors.values()) * (1 if coords[0][1] > 0 else -1)
-            spans[k].add(tuple(y for S, x in coords for y in (S, x // d)))
-        sums[k] += (-1) ** len(marks) * minor_gcd(cols)
+            spans[m][len(edges)].add(tuple(y for S, x in coords for y in (S, x // d)))
+        sums[m][len(edges)] += (-1) ** m * minor_gcd(cols)
     return spans, sums
 
 
-# states per level of the span pass at n = 2..7; merging the selections only
-# up to sign, not up to scale, would keep 1, 21, 155, 480, 571 at n = 6
+# states per radial count m and edge count of the span pass at n = 2..7;
+# merging the selections only up to sign, not up to scale, would keep
+# 5, 4, 3, 2 full spans, not 1, at the top of m = 1..4 at n = 6
 _SPAN_COUNTS = {
-    2: [1],
-    3: [1, 6],
-    4: [1, 10, 25],
-    5: [1, 15, 65, 90],
-    6: [1, 21, 140, 350, 301],
-    7: [1, 28, 266, 1050, 1701, 966],
+    2: [[1, 1], [1]],
+    3: [[1, 3, 1], [1, 1], [1]],
+    4: [[1, 6, 7, 1], [1, 6, 1], [1, 1], [1]],
+    5: [[1, 10, 25, 15, 1], [1, 10, 25, 1], [1, 6, 1], [1, 1], [1]],
+    6: [[1, 15, 65, 90, 31, 1], [1, 15, 65, 90, 1], [1, 10, 25, 1], [1, 6, 1], [1, 1], [1]],
+    7: [
+        [1, 21, 140, 350, 301, 63, 1], [1, 21, 140, 350, 301, 1], [1, 15, 65, 90, 1],
+        [1, 10, 25, 1], [1, 6, 1], [1, 1], [1],
+    ],
 }
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_span_levels_are_the_oracle_spans(n):
-    # one state per span, keyed by the minors of its selections divided by
-    # their gcd; per level, the weights add up to the signed minor gcds of
-    # every selection on all n rows, each taken once
-    spans, sums = _spans_by_size(n)
-    levels, _ = _span_levels(n)
-    assert [set(level) for level in levels] == spans
-    assert [sum(level.values()) for level in levels] == sums
+    # per m, one state per span of the selections with marks {1..m}, keyed
+    # by their minors divided by their gcd; per level, the weights add up
+    # to the signed minor gcds of those selections on all n rows, each
+    # taken once
+    spans, sums = _spans_by_marks(n)
+    programs = _span_levels(n)
+    assert [[set(level) for level in levels] for levels in programs] == spans
+    assert [[sum(level.values()) for level in levels] for levels in programs] == sums
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -183,9 +220,9 @@ def test_brute_pass_is_the_definition(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_brute_pass_walk_size(n):
-    # the work, not a time: the pass keeps one state per span of at most
-    # n - 2 generators, not one per selection
-    assert [len(level) for level in _span_levels(n)[0]] == _SPAN_COUNTS[n]
+    # the work, not a time: one program per radial count m, over the edges
+    # only, keeping one state per span, not one per selection
+    assert [[len(level) for level in levels] for levels in _span_levels(n)] == _SPAN_COUNTS[n]
 
 
 # n * top and lower + top with every radial sign +1: the volume
