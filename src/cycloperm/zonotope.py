@@ -8,12 +8,12 @@ sums collapse to closed forms through decorated forests.  The brute routes
 evaluate the sums as defined, with equal terms grouped: a selection's
 semiopen brick (Stanley's half-open parallelepiped) has the gcd of its
 maximal minors as its points, so the pass keeps a signed weight per span,
-not per selection.  A permutation of [n] permutes the generators up to
-sign, so the selections with marks {1..m} stand for all C(n, m) marks
-sets of size m: one program per m adds the edges to the span of
-r_1..r_m.  Both routes read one pass per n, _brute_sums: the volume is n
-times its top level, since det[C | 1] = n * det(C on the first n - 1
-rows), and the lattice count adds the lower levels.
+not per selection.  A forest's span is its partition of [n] into trees,
+so one program over set partitions counts the forests, and wedges with
+r_1, r_2, ... in turn add the radials.  Both routes read one pass per n,
+_brute_sums: the volume is n times its top level, since det[C | 1] =
+n * det(C on the first n - 1 rows), and the lattice count adds the lower
+levels.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
 exact rational c and the radicand n travel together in NormalizedVolume.
@@ -86,7 +86,7 @@ def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
 
 
 # Largest n that the brute routes accept: `cyclo points --n 8 --method
-# brute` took 0.5 s and 21 MB peak RSS as a command on a 2-vCPU machine.
+# brute` took 0.23 s and 24 MB peak RSS as a command on a 2-vCPU machine.
 BRUTE_MAX = 8
 
 # The sign of a radial in the defining sums; +1 gives those of sum(q_ij) + sum(r_i).
@@ -118,48 +118,61 @@ def _wedge(span: tuple, terms: list) -> tuple[tuple, int] | None:
     return tuple(y for T, x in coords for y in (T, x // d)), q
 
 
+def _edge_forests(n: int) -> tuple[list[dict[bytes, int]], dict[bytes, tuple]]:
+    """levels[j][partition] counts the forests of j edges on [n] by their
+    partition into trees, bytes of each vertex's block label (the block's
+    least vertex, 0-based); the edges come in lexicographic order, and one
+    inside a block would close a cycle.  Every forest has minor gcd 1 (the
+    incidence matrix is totally unimodular); each partition's key is wedged once."""
+    start = bytes(range(n))
+    keys = {start: (0, 1)}
+    levels = [{start: 1}] + [{} for _ in range(n - 1)]
+    for i, j in combinations(range(n), 2):
+        terms = _wedge_terms(n, edge_vector(n, i + 1, j + 1))
+        for k in reversed(range(n - 1)):
+            target = levels[k + 1]
+            for p, w in levels[k].items():
+                if p[i] != p[j]:
+                    merged = p.replace(max(p[i:i + 1], p[j:j + 1]), min(p[i:i + 1], p[j:j + 1]))
+                    if merged not in keys:
+                        keys[merged] = _wedge(keys[p], terms)[0]
+                    target[merged] = target.get(merged, 0) + w
+    return levels, keys
+
+
 def _span_levels(n: int) -> list[list[dict]]:
-    """The defining sums over the generator selections whose marks are
-    {1..m}, one program per m = 0..n - 1 and one state per span.  Every
-    generator lies in sum(x) = 0, whose lattice maps one to one onto
-    Z^(n-1) by dropping the last coordinate, so a span's key is its
-    primitive Pluecker vector on the first n - 1 rows: (row bitmask,
-    minor, ...) over the nonzero minors over their gcd, first one positive.
-    levels[j][span] sums _RADIAL_SIGN^m * gcd(minors) over the independent
-    selections of the m radials and j edges, m + j <= n - 1; the last level
-    holds the one full span.  The start, the span of r_1..r_m, is built by
-    the same wedge as the edges: adding a column wedges each state with it,
-    and the wedge's gcd q scales the weight."""
-    edge_terms = [_wedge_terms(n, edge_vector(n, i, j)) for i, j in combinations(range(1, n + 1), 2)]
-    programs = []
-    start, weight = (0, 1), 1
-    for m in range(n):
-        if m:
-            start, q = _wedge(start, _wedge_terms(n, radial_vector(n, m)))
-            weight *= _RADIAL_SIGN * q
-        levels = [{start: weight}] + [{} for _ in range(n - 1 - m)]
-        for terms in edge_terms:
-            for j in reversed(range(n - 1 - m)):
-                target = levels[j + 1]
-                for span, w in levels[j].items():
-                    if wedged := _wedge(span, terms):
-                        key, q = wedged
-                        target[key] = target.get(key, 0) + q * w
+    """programs[m][j][span] sums _RADIAL_SIGN^m * gcd(minors) over the
+    independent selections of r_1..r_m and j edges.  Every generator lies
+    in sum(x) = 0, whose lattice maps one to one onto Z^(n-1) by dropping
+    the last coordinate, so a span's key is its primitive Pluecker vector
+    on the first n - 1 rows: (row bitmask, minor, ...) over the nonzero
+    minors over their gcd, first one positive.  Step m wedges with r_m."""
+    forests, keys = _edge_forests(n)
+    programs = [[{keys[p]: w for p, w in level.items()} for level in forests]]
+    for m in range(1, n):
+        terms = _wedge_terms(n, radial_vector(n, m))
+        levels = [{} for _ in range(n - m)]
+        for source, target in zip(programs[-1], levels):
+            for span, w in source.items():
+                if wedged := _wedge(span, terms):
+                    key, q = wedged
+                    target[key] = target.get(key, 0) + _RADIAL_SIGN * q * w
         programs.append(levels)
     return programs
 
 
+def _brute_buckets(n: int) -> list[list[int]]:
+    """c[m][k]: the defining sum over the selections of m radials and k
+    generators.  A permutation of [n] permutes the generators up to sign,
+    so every marks set of size m sums as {1..m}: step m counts C(n, m) times."""
+    programs = _span_levels(n)
+    return [[0] * m + [math.comb(n, m) * sum(level.values()) for level in levels] for m, levels in enumerate(programs)]
+
+
 def _brute_pass(n: int) -> tuple[int, int]:
-    """(lower, top) of the defining sums: lower sums the selections of at
-    most n - 2 generators, top the (n - 1)-selections.  Every marks set of
-    size m sums as {1..m} does, so program m of _span_levels counts
-    C(n, m) times."""
-    lower = top = 0
-    for m, levels in enumerate(_span_levels(n)):
-        copies = math.comb(n, m)
-        lower += copies * sum(sum(level.values()) for level in levels[:-1])
-        top += copies * sum(levels[-1].values())
-    return lower, top
+    """(lower, top): the selections of at most n - 2 generators, and of n - 1."""
+    buckets = _brute_buckets(n)
+    return sum(sum(row[:-1]) for row in buckets), sum(row[-1] for row in buckets)
 
 
 # n -> (lower, top) of the defining sums, kept for the life of the process
@@ -168,10 +181,7 @@ _BRUTE_SUMS: dict[int, tuple[int, int]] = {}
 
 
 def _brute_sums(n: int, jobs: int) -> tuple[int, int]:
-    """_brute_pass(n), once per process.  jobs is a cap on worker
-    processes, validated but not used: the pass runs serially, since two
-    fork-pool workers split by first generator beat it at n = 8 in only
-    8 of 10 alternating runs on a 2-vCPU machine, and tied at n = 7."""
+    """_brute_pass(n), once per process; jobs is validated but not used."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sums = _BRUTE_SUMS.get(n)
@@ -187,8 +197,8 @@ def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     """Volume of the cyclopermutohedron by the defining alternating sum over
     all (n-1)-subsets of generators, each contributing |det| (with the
     all-ones column) with sign (-1)^(#radials): n times the top of
-    _brute_sums.  Cost grows with the spans, not the subsets: about 0.06 s
-    at n = 7 and 0.5 s at n = 8 on a cold pass; refuse past BRUTE_MAX."""
+    _brute_sums.  Cost grows with the spans, not the subsets: about 0.03 s
+    at n = 7 and 0.2 s at n = 8 on a cold pass; refuse past BRUTE_MAX."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     if n > BRUTE_MAX:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,8 +23,10 @@ from cycloperm.intlin import det_rows
 from cycloperm.oracle import generator_selections
 from cycloperm.zonotope import (
     NormalizedVolume,
+    _brute_buckets,
     _brute_pass,
     _columns,
+    _edge_forests,
     _span_levels,
     edge_vector,
     forest_columns,
@@ -177,20 +180,13 @@ def _spans_by_marks(n):
     return spans, sums
 
 
-# states per radial count m and edge count of the span pass at n = 2..7;
-# merging the selections only up to sign, not up to scale, would keep
-# 5, 4, 3, 2 full spans, not 1, at the top of m = 1..4 at n = 6
-_SPAN_COUNTS = {
-    2: [[1, 1], [1]],
-    3: [[1, 3, 1], [1, 1], [1]],
-    4: [[1, 6, 7, 1], [1, 6, 1], [1, 1], [1]],
-    5: [[1, 10, 25, 15, 1], [1, 10, 25, 1], [1, 6, 1], [1, 1], [1]],
-    6: [[1, 15, 65, 90, 31, 1], [1, 15, 65, 90, 1], [1, 10, 25, 1], [1, 6, 1], [1, 1], [1]],
-    7: [
-        [1, 21, 140, 350, 301, 63, 1], [1, 21, 140, 350, 301, 1], [1, 15, 65, 90, 1],
-        [1, 10, 25, 1], [1, 6, 1], [1, 1], [1],
-    ],
-}
+def _stirling2(n_max):
+    """S[n][k], the partitions of [n] into k blocks, from their recurrence."""
+    S = [[1]]
+    for n in range(1, n_max + 1):
+        last = S[-1] + [0]
+        S.append([0] + [k * last[k] + last[k - 1] for k in range(1, n + 1)])
+    return S
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -218,11 +214,54 @@ def test_brute_pass_is_the_definition(n):
     assert _brute_pass(n) == (lower, top)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, zonotope.BRUTE_MAX + 1))
 def test_brute_pass_walk_size(n):
-    # the work, not a time: one program per radial count m, over the edges
-    # only, keeping one state per span, not one per selection
-    assert [[len(level) for level in levels] for levels in _span_levels(n)] == _SPAN_COUNTS[n]
+    # the work, not a time, in closed form: edge level j holds the S(n, n - j)
+    # partitions of [n] into n - j trees, each weighted by its forests,
+    # prod s^(s - 2) over its blocks (Cayley); a span of r_1..r_m and j
+    # edges is one of r_1 and the edges with 1..m in one block, so step m
+    # holds S(n', n' - j) spans, n' = n - m + 1, and 1 at the full span.
+    # Merging only up to sign, not up to scale, would keep 5, 4, 3, 2 full
+    # spans, not 1, at the top of m = 1..4 at n = 6.
+    S = _stirling2(n)
+    forests, _ = _edge_forests(n)
+    assert [len(level) for level in forests] == [S[n][n - j] for j in range(n)]
+    for level in forests:
+        for partition, count in level.items():
+            assert count == math.prod(s ** max(s - 2, 0) for s in Counter(partition).values())
+    for m, levels in enumerate(_span_levels(n)):
+        blocks = n - max(m - 1, 0)
+        assert [len(level) for level in levels] == [S[blocks][blocks - j] for j in range(n - 1 - m)] + [1]
+
+
+# c[m][k] summed over k, per radial count m, and summed over m, per
+# generator count k: the lattice count of CP_n(lambda) at t = 1 by powers
+# of lambda, and at lambda = 1 by powers of the dilation t
+_BUCKET_SUMS = {
+    2: ([2, -2], [1, -1]),
+    3: ([7, -15, 9], [1, 0, 0]),
+    4: ([38, -124, 168, -64], [1, 2, 15, 0]),
+    5: ([291, -1295, 2750, -2250, 625], [1, 5, 45, 70, 0]),
+    6: ([2932, -16386, 48330, -61200, 35640, -7776], [1, 9, 105, 345, 1080, 0]),
+    7: (
+        [36961, -253113, 938007, -1624105, 1452605, -655473, 117649],
+        [1, 14, 210, 1050, 4410, 6846, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_brute_buckets_by_radials_and_generators(n):
+    # m radials and k generators; the radial sign is in the buckets, both
+    # sums of the table give the lattice count, and the absolute sums by
+    # radial count give the points of the zonotope sum(q_ij) + sum(r_i)
+    buckets = _brute_buckets(n)
+    assert all(row[:m] == [0] * m for m, row in enumerate(buckets))
+    by_radials, by_generators = _BUCKET_SUMS[n]
+    assert [sum(row) for row in buckets] == by_radials
+    assert [sum(column) for column in zip(*buckets)] == by_generators
+    assert sum(by_radials) == lattice_count_closed_form(n)
+    assert sum(map(abs, by_radials)) == _UNSIGNED[n][1]
 
 
 # n * top and lower + top with every radial sign +1: the volume
@@ -235,8 +274,8 @@ _UNSIGNED = {
     4: (1_280, 394),
     5: (30_000, 7_211),
     6: (870_912, 172_264),
-    7: (30_118_144, None),
-    8: (1_207_959_552, None),
+    7: (30_118_144, 5_077_913),
+    8: (1_207_959_552, 177_641_412),
 }
 
 
@@ -249,7 +288,7 @@ def test_unsigned_sums_keep_the_top_level(monkeypatch, n):
     assert volume == n ** (n - 1) * 2 ** (n - 2) * (n + 1)
     lower, top = _brute_pass(n)
     assert n * top == volume
-    assert points in (None, lower + top)
+    assert lower + top == points
 
 
 def _ones_column_identity(n, edges, marks):
