@@ -175,10 +175,11 @@ class LinkageSpec(_Value):
     non-positive lengths, a longest bar out of place, a vanishing signed sum
     (wall), or a violated triangle inequality, in that order.  It builds the
     (size, sum) table once, as packed int rows or as dicts (see
-    _short_table), and keeps the short-set profile in a slot outside
-    equality, hash and repr; pickle and copy rebuild it."""
+    _short_table), and keeps the short-set profile, and the f-vector once
+    f_vector has built it, in slots outside equality, hash and repr; pickle
+    and copy rebuild the spec through the constructor."""
 
-    __slots__ = ("lengths", "_profile")
+    __slots__ = ("lengths", "_profile", "_f_vector")
     _fields = __slots__[:1]
 
     def __init__(self, lengths: Iterable):
@@ -388,16 +389,21 @@ def f_vector(spec: LinkageSpec) -> tuple[int, ...]:
     bar, is short, and a_{n-j} of those are.  So the long j-sets number
     l_j = C(n, j-1) + a_{n-j} - a_{j-1}, and the short ones s_j = C(n, j) -
     a_{n-j} + a_{j-1}.  With m >= 3, only l_1..l_{n-1} are read, and they
-    read a_0..a_{n-1}."""
+    read a_0..a_{n-1}.  The result is kept on the spec."""
+    f = getattr(spec, "_f_vector", None)
+    if f is not None:
+        return f
     n = spec.n
     a = spec._profile
     longs = [0] + [math.comb(n, j - 1) + a[n - j] - a[j - 1] for j in range(1, n)]
     stirling = _stirling_rows(n + 1)
-    return tuple(  # S(B-j, m-1) vanishes for j > B-m+1
+    f = tuple(  # S(B-j, m-1) vanishes for j > B-m+1
         (stirling[n + 1][m] - sum(longs[j] * stirling[n + 1 - j][m - 1] for j in range(1, n + 3 - m)))
         * math.factorial(m - 1)
         for m in range(n + 1, 2, -1)
     )
+    object.__setattr__(spec, "_f_vector", f)
+    return f
 
 
 def euler_characteristic(spec: LinkageSpec) -> int:

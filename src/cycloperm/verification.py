@@ -100,15 +100,13 @@ def _check_determinant_lemma(n_max: int, jobs: int) -> str:
 
 
 def _check_cyclo_routes(n_max: int, jobs: int) -> str:
-    # one brute pass gives both defining sums: the volume is n times its
-    # top level and the lattice count adds the lower levels
+    # one brute pass gives both defining sums, stored as the finished
+    # volume and lattice count that the brute routes return
     brute_top = min(n_max, zonotope.BRUTE_MAX)
     for n in range(2, brute_top + 1):
-        lower, top = zonotope._brute_sums(n, jobs)
-        forest = zonotope.volume_by_forests(n)
-        _require(zonotope.NormalizedVolume(n * top, n) == forest, f"brute and forest volumes differ at n={n}")
-        closed = zonotope.lattice_count_closed_form(n)
-        _require(lower + top == closed, f"brute and closed lattice counts differ at n={n}")
+        volume, count = zonotope._brute_sums(n, jobs)
+        _require(volume == zonotope.volume_by_forests(n), f"brute and forest volumes differ at n={n}")
+        _require(count == zonotope.lattice_count_closed_form(n), f"brute and closed lattice counts differ at n={n}")
     wide_top = max(n_max, 10)
     for n in range(2, wide_top + 1):
         forest = zonotope.volume_by_forests(n)

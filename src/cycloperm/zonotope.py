@@ -10,10 +10,10 @@ semiopen brick (Stanley's half-open parallelepiped) has the gcd of its
 maximal minors as its points, so the pass keeps a signed weight per span,
 not per selection.  A forest's span is its partition of [n] into trees,
 so one program over set partitions counts the forests, and wedges with
-r_1, r_2, ... in turn add the radials.  Both routes read one pass per n,
-_brute_sums: the volume is n times its top level, since det[C | 1] =
-n * det(C on the first n - 1 rows), and the lattice count adds the lower
-levels.
+r_1, r_2, ... in turn add the radials.  One pass per n gives both answers,
+stored finished in _brute_sums: the volume is n times its top level, since
+det[C | 1] = n * det(C on the first n - 1 rows), and the lattice count adds
+the lower levels.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
 exact rational c and the radicand n travel together in NormalizedVolume.
@@ -175,18 +175,21 @@ def _brute_pass(n: int) -> tuple[int, int]:
     return sum(sum(row[:-1]) for row in buckets), sum(row[-1] for row in buckets)
 
 
-# n -> (lower, top) of the defining sums, kept for the life of the process
-# like _LATTICE_COUNTS: both brute routes read one pass per n.
-_BRUTE_SUMS: dict[int, tuple[int, int]] = {}
+# n -> (volume, lattice count) by the defining sums, kept for the life of the
+# process like _FOREST_VOLUMES: one pass per n, stored finished, so a repeat
+# of either brute route is one read.
+_BRUTE_SUMS: dict[int, tuple[NormalizedVolume, int]] = {}
 
 
-def _brute_sums(n: int, jobs: int) -> tuple[int, int]:
-    """_brute_pass(n), once per process; jobs is validated but not used."""
+def _brute_sums(n: int, jobs: int) -> tuple[NormalizedVolume, int]:
+    """(n * top / sqrt(n), lower + top) of _brute_pass(n), once per process;
+    jobs is validated on every call but not used."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sums = _BRUTE_SUMS.get(n)
     if sums is None:
-        sums = _BRUTE_SUMS[n] = _brute_pass(n)
+        lower, top = _brute_pass(n)
+        sums = _BRUTE_SUMS[n] = NormalizedVolume(n * top, n), lower + top
     return sums
 
 
@@ -196,14 +199,14 @@ def _brute_sums(n: int, jobs: int) -> tuple[int, int]:
 def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     """Volume of the cyclopermutohedron by the defining alternating sum over
     all (n-1)-subsets of generators, each contributing |det| (with the
-    all-ones column) with sign (-1)^(#radials): n times the top of
+    all-ones column) with sign (-1)^(#radials): the stored volume of
     _brute_sums.  Cost grows with the spans, not the subsets: about 0.03 s
     at n = 7 and 0.2 s at n = 8 on a cold pass; refuse past BRUTE_MAX."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     if n > BRUTE_MAX:
         raise ValueError(f"n={n} exceeds bound={BRUTE_MAX}; use volume_by_forests or volume_closed_form")
-    return NormalizedVolume(Fraction(n * _brute_sums(n, jobs)[1]), n)
+    return _brute_sums(n, jobs)[0]
 
 
 # n -> volume_by_forests(n), kept for the life of the process like
@@ -249,13 +252,13 @@ def permutohedron_volume(n: int) -> NormalizedVolume:
 def lattice_count_bruteforce(n: int, *, jobs: int = 1) -> int:
     """Lattice points of the cyclopermutohedron by the defining alternating
     sum over all generator subsets with |edges| + |marks| <= n - 1, counting
-    each semiopen brick as the gcd of its maximal minors: lower + top of
-    _brute_sums.  Refuse past BRUTE_MAX; use lattice_count_closed_form."""
+    each semiopen brick as the gcd of its maximal minors: the stored count
+    of _brute_sums.  Refuse past BRUTE_MAX; use lattice_count_closed_form."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     if n > BRUTE_MAX:
         raise ValueError(f"n={n} exceeds bound={BRUTE_MAX}; use lattice_count_closed_form")
-    return sum(_brute_sums(n, jobs))
+    return _brute_sums(n, jobs)[1]
 
 
 # n -> Lambda(n), kept for the life of the process like forests._GCD_SUMS.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycloperm import forests, zonotope
+from cycloperm import forests, linkage, zonotope
 from cycloperm.forests import (
     DecoratedForest,
     LabeledForest,
@@ -28,6 +28,7 @@ from cycloperm.forests import (
     trees_on,
 )
 from cycloperm.oracle import forest_sums_by_partitions
+from tests.conftest import _PROCESS_TABLES
 from tests.test_zonotope import _parent_closed_forms
 
 # --- independent brute-force oracle (DFS cycle check, no shared code) ---
@@ -271,11 +272,13 @@ def test_totient_matches_the_gcd_count():
 
 
 _TABLE_VOLUMES, _TABLE_LATTICE = _parent_closed_forms(20)
-_TABLED_ROUTES = (  # (route, least n, expected value at n)
-    (forest_count, 1, lambda n: forest_sums_by_partitions(n)[0]),
-    (forest_gcd_sum, 1, lambda n: forest_sums_by_partitions(n)[1]),
-    (zonotope.lattice_count_closed_form, 2, _TABLE_LATTICE.__getitem__),
-    (zonotope.volume_by_forests, 2, lambda n: NormalizedVolume(_TABLE_VOLUMES[n], n)),
+_TABLED_ROUTES = (  # (route, least n, largest n, expected value at n)
+    (forest_count, 1, 20, lambda n: forest_sums_by_partitions(n)[0]),
+    (forest_gcd_sum, 1, 20, lambda n: forest_sums_by_partitions(n)[1]),
+    (zonotope.lattice_count_closed_form, 2, 20, _TABLE_LATTICE.__getitem__),
+    (zonotope.volume_by_forests, 2, 20, lambda n: NormalizedVolume(_TABLE_VOLUMES[n], n)),
+    (zonotope.volume_bruteforce, 2, 6, zonotope.volume_closed_form),
+    (zonotope.lattice_count_bruteforce, 2, 6, _TABLE_LATTICE.__getitem__),
 )
 
 
@@ -283,13 +286,28 @@ _TABLED_ROUTES = (  # (route, least n, expected value at n)
 def test_forest_table_state_cannot_change_an_answer(calls):
     # each example builds the per-process tables from empty, calling the
     # routes that read them in its own order
-    tables = (forests._DIVISIBLE_TABLES, forests._GCD_SUMS, zonotope._LATTICE_COUNTS, zonotope._FOREST_VOLUMES)
+    tables = (
+        forests._DIVISIBLE_TABLES, forests._GCD_SUMS,
+        zonotope._LATTICE_COUNTS, zonotope._FOREST_VOLUMES, zonotope._BRUTE_SUMS,
+    )
     with contextlib.ExitStack() as stack:
         for table in tables:
             stack.enter_context(mock.patch.dict(table, clear=True))
-        for (route, least, expected), n in calls:
-            if n >= least:
+        for (route, least, largest, expected), n in calls:
+            if least <= n <= largest:
                 assert route(n) == expected(n)
+
+
+def test_every_module_table_is_emptied_for_each_test():
+    # a module-level container is a per-process table: unless the autouse
+    # fixture empties it, an answer stored by one test reaches the next
+    tables = {
+        (module, name)
+        for module in (forests, zonotope, linkage)
+        for name, value in vars(module).items()
+        if isinstance(value, (dict, list, set)) and not name.startswith("__")
+    }
+    assert tables == {(module, name) for module, name, _ in _PROCESS_TABLES}
 
 
 # --- rooted forest counts and Abel polynomials ---

@@ -34,6 +34,7 @@ from cycloperm.linkage import (
 from cycloperm.oracle import f_vector_by_partitions, hits_wall_by_subsets, profile_by_subsets
 from cycloperm.verification import _random_linkage
 from cycloperm.zonotope import NormalizedVolume
+from tests.test_zonotope import _NoMath, _recomputed
 
 TORUS = validate(("1.2", 1, 1, "0.8", "2.2"))
 PENTAGON = validate((1, 1, 1, 1, 1))
@@ -346,6 +347,18 @@ def test_euler_characteristic_consistency():
             spec = _random_linkage(rng, bars)
             b = betti_vector(spec)
             assert euler_characteristic(spec) == sum((-1) ** k * x for k, x in enumerate(b))
+
+
+def test_euler_characteristic_reads_the_stored_f_vector(monkeypatch):
+    # f_vector keeps its answer on the spec: after one call, chi needs
+    # neither the Stirling rows nor a factorial
+    specs = [(validate(spec.lengths), chi) for spec, chi in ((TORUS, 0), (PENTAGON, -6), (SPHERE, 2))]
+    for spec, _ in specs:
+        f_vector(spec)
+    monkeypatch.setattr(linkage, "_stirling_rows", _recomputed)
+    monkeypatch.setattr(linkage, "math", _NoMath())
+    for spec, chi in specs:
+        assert euler_characteristic(spec) == chi
 
 
 def test_enumerate_cells_counts_match_f_vector():

@@ -105,14 +105,22 @@ def test_stored_components_stay_out_of_equality_and_survive_copies():
 
 def test_stored_profile_stays_out_of_equality_and_is_rebuilt_by_copies():
     spec = LinkageSpec((Fraction(3, 2), 1, 1, 2))
-    assert "_profile" not in repr(spec)
+    f = linkage.f_vector(spec)  # stored on the spec from here on
+    assert spec._f_vector is f
+    assert "_profile" not in repr(spec) and "_f_vector" not in repr(spec)
     other = LinkageSpec._unchecked(spec.lengths, (1, 3, 3, 1))
+    assert not hasattr(other, "_f_vector")  # computed from its own profile
+    assert linkage.f_vector(other) != f
     assert other == spec and hash(other) == hash(spec)
     with pytest.raises(AttributeError):
         spec._profile = other._profile
+    with pytest.raises(AttributeError):
+        spec._f_vector = other._f_vector
     for y in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
         assert y._profile is not spec._profile  # rebuilt through the constructor
+        assert not hasattr(y, "_f_vector")
         assert linkage.a_profile(y) == linkage.a_profile(spec) == (1, 0, 0, 0)
+        assert linkage.f_vector(y) == f
 
 
 def test_normalized_volume_is_one_class():

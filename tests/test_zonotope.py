@@ -425,16 +425,27 @@ def test_closed_routes_answer_a_repeat_from_the_tables(monkeypatch, n):
 @pytest.mark.parametrize("n, first", [(2, volume_bruteforce), (5, lattice_count_bruteforce)])
 def test_brute_routes_answer_a_repeat_from_the_table(monkeypatch, n, first):
     # one pass per n per process: after one call of either route, both
-    # routes in either order read the stored sums, still validating jobs
+    # routes in either order return the stored answers, building no value,
+    # and still validate jobs and n before the table is read
     first(n)
-    monkeypatch.setattr(zonotope, "_brute_pass", _recomputed)
     routes = (volume_bruteforce, lattice_count_bruteforce)
     values = [volume_closed_form(n), lattice_count_closed_form(n)]
+    monkeypatch.setattr(zonotope, "_brute_pass", _recomputed)
+    monkeypatch.setattr(zonotope, "NormalizedVolume", _recomputed)
+    monkeypatch.setattr(zonotope, "Fraction", _recomputed)
+    monkeypatch.setattr(zonotope, "math", _NoMath())
     assert [route(n) for route in routes] == values
     assert [route(n) for route in reversed(routes)] == values[::-1]
+    stored = zonotope._BRUTE_SUMS[n]
+    assert all(route(n) is answer for route, answer in zip(routes, stored))
+    for outside in (1, zonotope.BRUTE_MAX + 1):
+        monkeypatch.setitem(zonotope._BRUTE_SUMS, outside, stored)
     for route in routes:
         with pytest.raises(ValueError, match="jobs"):
             route(n, jobs=0)
+        for outside in (1, zonotope.BRUTE_MAX + 1):
+            with pytest.raises(ValueError, match="too small|exceeds"):
+                route(outside)
 
 
 def test_permutohedron_lattice_count():
