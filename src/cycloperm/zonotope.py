@@ -7,13 +7,12 @@ lattice-point count are alternating sums over generator selections; both
 sums collapse to closed forms through decorated forests.  The brute routes
 evaluate the sums as defined, with equal terms grouped: a selection's
 semiopen brick (Stanley's half-open parallelepiped) has the gcd of its
-maximal minors as its points, so the pass keeps a signed weight per span,
-not per selection.  A forest's span is its partition of [n] into trees,
-so one program over set partitions counts the forests, and wedges with
-r_1, r_2, ... in turn add the radials.  One pass per n gives both answers,
-stored finished in _brute_sums: the volume is n times its top level, since
-det[C | 1] = n * det(C on the first n - 1 rows), and the lattice count adds
-the lower levels.
+maximal minors as its points, and a permutation of [n] permutes the
+generators up to sign and keeps the lattice, so one representative per
+S_n-orbit of selections gives the gcd of all, taken by row reduction.
+One pass per n gives both answers, stored finished in _brute_sums: the
+volume is n times its top level, since det[C | 1] = n * det(C on the
+first n - 1 rows), and the lattice count adds the lower levels.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
 exact rational c and the radicand n travel together in NormalizedVolume.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
 
 from .forests import (
     DecoratedForest,
@@ -82,91 +81,71 @@ def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
     return n ** (m - 1) * math.gcd(*(len(c) for c in forest.free_components()))
 
 
-# --- the span dynamic program over generator selections ---
+# --- the defining sums by S_n-orbits of generator selections ---
 
 
-# Largest n that the brute routes accept: `cyclo points --n 8 --method
-# brute` took 0.23 s and 24 MB peak RSS as a command on a 2-vCPU machine.
-BRUTE_MAX = 8
+# Largest n that the brute routes accept, for a 1 s budget with room for
+# the 3-4x swing in machine speed seen between sessions: as a command on a
+# 2-vCPU AMD EPYC machine (Python 3.11), `cyclo points --method brute` took
+# 0.18 s at n = 16 and 0.28 s at n = 17, with 15 MB peak RSS.
+BRUTE_MAX = 16
 
 # The sign of a radial in the defining sums; +1 gives those of sum(q_ij) + sum(r_i).
 _RADIAL_SIGN = -1
 
 
-def _wedge_terms(n: int, c) -> list[list[tuple[int, int]]]:
-    """e_S ^ c for each row set S of the first n - 1 rows: the terms
-    (S + r, +-c_r), one per row r outside S, signed by the rows of S above r."""
-    return [
-        [(S | 1 << r, -c[r] if (S >> r).bit_count() % 2 else c[r]) for r in range(n - 1) if c[r] and not S >> r & 1]
-        for S in range(1 << n - 1)
-    ]
+def _block_sizes(n: int, top: int):
+    """The partitions of n into parts <= top, as (size, multiplicity) pairs."""
+    if n == 0:
+        yield ()
+    for s in range(min(n, top), 0, -1):
+        for mu in range(1, n // s + 1):
+            for rest in _block_sizes(n - s * mu, s - 1):
+                yield ((s, mu),) + rest
 
 
-def _wedge(span: tuple, terms: list) -> tuple[tuple, int] | None:
-    """The key of span ^ c and the gcd q of its minors, from c's
-    _wedge_terms; None when c lies in the span."""
-    minors: dict[int, int] = {}
-    pairs = iter(span)
-    for S, x in zip(pairs, pairs):
-        for T, v in terms[S]:
-            minors[T] = minors.get(T, 0) + v * x
-    coords = sorted((T, x) for T, x in minors.items() if x)
-    if not coords:
-        return None
-    q = math.gcd(*(x for _, x in coords))
-    d = q if coords[0][1] > 0 else -q
-    return tuple(y for T, x in coords for y in (T, x // d)), q
-
-
-def _edge_forests(n: int) -> tuple[list[dict[bytes, int]], dict[bytes, tuple]]:
-    """levels[j][partition] counts the forests of j edges on [n] by their
-    partition into trees, bytes of each vertex's block label (the block's
-    least vertex, 0-based); the edges come in lexicographic order, and one
-    inside a block would close a cycle.  Every forest has minor gcd 1 (the
-    incidence matrix is totally unimodular); each partition's key is wedged once."""
-    start = bytes(range(n))
-    keys = {start: (0, 1)}
-    levels = [{start: 1}] + [{} for _ in range(n - 1)]
-    for i, j in combinations(range(n), 2):
-        terms = _wedge_terms(n, edge_vector(n, i + 1, j + 1))
-        for k in reversed(range(n - 1)):
-            target = levels[k + 1]
-            for p, w in levels[k].items():
-                if p[i] != p[j]:
-                    merged = p.replace(max(p[i:i + 1], p[j:j + 1]), min(p[i:i + 1], p[j:j + 1]))
-                    if merged not in keys:
-                        keys[merged] = _wedge(keys[p], terms)[0]
-                    target[merged] = target.get(merged, 0) + w
-    return levels, keys
-
-
-def _span_levels(n: int) -> list[list[dict]]:
-    """programs[m][j][span] sums _RADIAL_SIGN^m * gcd(minors) over the
-    independent selections of r_1..r_m and j edges.  Every generator lies
-    in sum(x) = 0, whose lattice maps one to one onto Z^(n-1) by dropping
-    the last coordinate, so a span's key is its primitive Pluecker vector
-    on the first n - 1 rows: (row bitmask, minor, ...) over the nonzero
-    minors over their gcd, first one positive.  Step m wedges with r_m."""
-    forests, keys = _edge_forests(n)
-    programs = [[{keys[p]: w for p, w in level.items()} for level in forests]]
-    for m in range(1, n):
-        terms = _wedge_terms(n, radial_vector(n, m))
-        levels = [{} for _ in range(n - m)]
-        for source, target in zip(programs[-1], levels):
-            for span, w in source.items():
-                if wedged := _wedge(span, terms):
-                    key, q = wedged
-                    target[key] = target.get(key, 0) + _RADIAL_SIGN * q * w
-        programs.append(levels)
-    return programs
+def _minor_gcd(columns) -> int:
+    """The gcd of the maximal minors of integer columns, 0 when they are
+    dependent.  Row operations of determinant +-1 keep it, so Euclid on the
+    rows, column by column, leaves a triangular block whose |det| it is."""
+    rows = [list(row) for row in zip(*columns)]
+    if len(columns) > len(rows):
+        return 0
+    g = 1
+    for j in range(len(columns)):
+        for i in range(j + 1, len(rows)):
+            while rows[i][j]:
+                q = rows[j][j] // rows[i][j]
+                rows[j], rows[i] = rows[i], [x - q * y for x, y in zip(rows[j], rows[i])]
+        g *= abs(rows[j][j])
+    return g
 
 
 def _brute_buckets(n: int) -> list[list[int]]:
     """c[m][k]: the defining sum over the selections of m radials and k
-    generators.  A permutation of [n] permutes the generators up to sign,
-    so every marks set of size m sums as {1..m}: step m counts C(n, m) times."""
-    programs = _span_levels(n)
-    return [[0] * m + [math.comb(n, m) * sum(level.values()) for level in levels] for m, levels in enumerate(programs)]
+    generators, by S_n-orbits.  An independent selection is a forest with at
+    most one mark per tree and some tree unmarked; its lattice depends only
+    on the partition into trees (the incidence matrix is totally unimodular)
+    and the marked blocks.  An orbit is a multiset of blocks (size s, marked
+    t): n! / prod(s!^mu t! (mu - t)!) partitions, s^(s - 2) trees (Cayley)
+    and s places per mark, and one gcd of minors, taken on consecutive
+    blocks with path edges and each mark at its block's least vertex."""
+    c = [[0] * n for _ in range(n)]
+    for sizes in _block_sizes(n, n):
+        for marked in product(*(range(mu + 1) for _, mu in sizes)):
+            if all(t == mu for t, (_, mu) in zip(marked, sizes)):
+                continue  # a mark on every tree: n generators
+            weight, edges, marks, first = math.factorial(n), [], [], 1
+            for (s, mu), t in zip(sizes, marked):
+                weight //= math.factorial(s) ** mu * math.factorial(t) * math.factorial(mu - t)
+                weight *= s ** (mu * max(s - 2, 0) + t)
+                for b in range(mu):
+                    edges += [(v, v + 1) for v in range(first, first + s - 1)]
+                    marks += [first] * (b < t)
+                    first += s
+            g = _minor_gcd([col[:-1] for col in _columns(n, edges, marks)])
+            c[len(marks)][len(edges) + len(marks)] += _RADIAL_SIGN ** len(marks) * weight * g
+    return c
 
 
 def _brute_pass(n: int) -> tuple[int, int]:
@@ -200,8 +179,8 @@ def volume_bruteforce(n: int, *, jobs: int = 1) -> NormalizedVolume:
     """Volume of the cyclopermutohedron by the defining alternating sum over
     all (n-1)-subsets of generators, each contributing |det| (with the
     all-ones column) with sign (-1)^(#radials): the stored volume of
-    _brute_sums.  Cost grows with the spans, not the subsets: about 0.03 s
-    at n = 7 and 0.2 s at n = 8 on a cold pass; refuse past BRUTE_MAX."""
+    _brute_sums.  Cost grows with the orbits, not the subsets: about 2 ms
+    at n = 8 and 0.15 s at n = 16 on a cold pass; refuse past BRUTE_MAX."""
     if n < 2:
         raise ValueError("n too small: need n >= 2")
     if n > BRUTE_MAX:

@@ -527,7 +527,7 @@ def test_exact_coefficients_round_trip(capsys):
 def test_validation_exit_codes(capsys):
     assert _capture(capsys, ["linkage", "volume", "--lengths", "1,1,2"])[0] == 2
     assert _capture(capsys, ["cyclo", "volume", "--n", "1"])[0] == 2
-    assert _capture(capsys, ["cyclo", "points", "--n", "9", "--method", "brute"])[0] == 2
+    assert _capture(capsys, ["cyclo", "points", "--n", str(zonotope.BRUTE_MAX + 1), "--method", "brute"])[0] == 2
     assert _capture(capsys, ["linkage", "volume", "--lengths", "1,abc"])[0] == 2
     # every field must be a length: an empty one is not skipped
     for text in ("1,,1", "1,1,1,", ",", "", "1,,1,1,"):

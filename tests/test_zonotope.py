@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -20,14 +20,13 @@ from cycloperm.forests import (
     forest_gcd_sum,
 )
 from cycloperm.intlin import det_rows
-from cycloperm.oracle import generator_selections
+from cycloperm.oracle import generator_selections, integer_partitions
 from cycloperm.zonotope import (
     NormalizedVolume,
     _brute_buckets,
     _brute_pass,
     _columns,
-    _edge_forests,
-    _span_levels,
+    _minor_gcd,
     edge_vector,
     forest_columns,
     lattice_count_bruteforce,
@@ -95,7 +94,7 @@ def test_volume_bounds():
     with pytest.raises(ValueError):
         volume_bruteforce(1)
     with pytest.raises(ValueError):
-        volume_bruteforce(9)
+        volume_bruteforce(zonotope.BRUTE_MAX + 1)
     with pytest.raises(ValueError):
         volume_by_forests(1)
 
@@ -117,7 +116,7 @@ def test_det_of_decorated_forest_examples():
     assert abs(det_rows(forest_columns(d) + [ones_vector(4)])) == 4 ** 2 * 2
 
 
-# --- the span pass over generator selections ---
+# --- the orbit pass over generator selections ---
 
 
 def _generators(n):
@@ -155,83 +154,62 @@ def test_marks_sets_of_one_size_sum_alike(n):
         assert prefixes == sum(sums.values())
 
 
-def _spans_by_marks(n):
-    """For each m and each edge count j, m + j <= n - 1: the primitive minor
-    vectors on the first n - 1 rows of the independent selections with marks
-    {1..m} and j edges, keyed like the pass's states, and the signed minor
-    gcds of those selections on all n rows."""
-    spans = [[set() for _ in range(n - m)] for m in range(n)]
-    sums = [[0] * (n - m) for m in range(n)]
-    for edges, marks in generator_selections(n, range(n)):
-        m = len(marks)
-        if marks != tuple(range(1, m + 1)):
-            continue
-        cols = _columns(n, edges, marks)
-        k = len(cols)
-        minors = {
-            sum(1 << r for r in rows): det_rows([[c[r] for c in cols] for r in rows])
-            for rows in combinations(range(n - 1), k)
-        }
-        coords = sorted((S, x) for S, x in minors.items() if x)
-        if coords:
-            d = math.gcd(*minors.values()) * (1 if coords[0][1] > 0 else -1)
-            spans[m][len(edges)].add(tuple(y for S, x in coords for y in (S, x // d)))
-        sums[m][len(edges)] += (-1) ** m * minor_gcd(cols)
-    return spans, sums
-
-
-def _stirling2(n_max):
-    """S[n][k], the partitions of [n] into k blocks, from their recurrence."""
-    S = [[1]]
-    for n in range(1, n_max + 1):
-        last = S[-1] + [0]
-        S.append([0] + [k * last[k] + last[k - 1] for k in range(1, n + 1)])
-    return S
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_span_levels_are_the_oracle_spans(n):
-    # per m, one state per span of the selections with marks {1..m}, keyed
-    # by their minors divided by their gcd; per level, the weights add up
-    # to the signed minor gcds of those selections on all n rows, each
-    # taken once
-    spans, sums = _spans_by_marks(n)
-    programs = _span_levels(n)
-    assert [[set(level) for level in levels] for levels in programs] == spans
-    assert [[sum(level.values()) for level in levels] for levels in programs] == sums
-
-
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_brute_pass_is_the_definition(n):
-    # lower: the signed minor gcds of the selections of at most n - 2
-    # generators; top: the signed |minor on the first n - 1 rows| of the
-    # (n - 1)-selections
-    lower = sum((-1) ** len(m) * minor_gcd(_columns(n, e, m)) for e, m in generator_selections(n, range(n - 1)))
-    top = sum(
-        (-1) ** len(m) * abs(det_rows([c[:-1] for c in _columns(n, e, m)]))
-        for e, m in generator_selections(n, (n - 1,))
-    )
-    assert _brute_pass(n) == (lower, top)
+    # bucket (m, k) sums (-1)^m times the minor gcd of every selection of m
+    # radials and k generators, one term per selection, nothing grouped;
+    # on the top level that gcd is the |minor on the first n - 1 rows|
+    buckets = [[0] * n for _ in range(n)]
+    for edges, marks in generator_selections(n, range(n)):
+        buckets[len(marks)][len(edges) + len(marks)] += (-1) ** len(marks) * minor_gcd(_columns(n, edges, marks))
+    assert _brute_buckets(n) == buckets
+    assert _brute_pass(n) == (sum(sum(row[:-1]) for row in buckets), sum(row[-1] for row in buckets))
 
 
 @pytest.mark.parametrize("n", range(2, zonotope.BRUTE_MAX + 1))
-def test_brute_pass_walk_size(n):
-    # the work, not a time, in closed form: edge level j holds the S(n, n - j)
-    # partitions of [n] into n - j trees, each weighted by its forests,
-    # prod s^(s - 2) over its blocks (Cayley); a span of r_1..r_m and j
-    # edges is one of r_1 and the edges with 1..m in one block, so step m
-    # holds S(n', n' - j) spans, n' = n - m + 1, and 1 at the full span.
-    # Merging only up to sign, not up to scale, would keep 5, 4, 3, 2 full
-    # spans, not 1, at the top of m = 1..4 at n = 6.
-    S = _stirling2(n)
-    forests, _ = _edge_forests(n)
-    assert [len(level) for level in forests] == [S[n][n - j] for j in range(n)]
-    for level in forests:
-        for partition, count in level.items():
-            assert count == math.prod(s ** max(s - 2, 0) for s in Counter(partition).values())
-    for m, levels in enumerate(_span_levels(n)):
-        blocks = n - max(m - 1, 0)
-        assert [len(level) for level in levels] == [S[blocks][blocks - j] for j in range(n - 1 - m)] + [1]
+def test_brute_pass_walk_size(monkeypatch, n):
+    # the work, not a time: one gcd of minors per S_n-orbit of independent
+    # selections, a partition of n into blocks with t_s <= mu_s of the mu_s
+    # blocks of each size s marked, not all of them; a pass over set
+    # partitions would take Bell-many
+    gcd, calls = zonotope._minor_gcd, []
+    monkeypatch.setattr(zonotope, "_minor_gcd", lambda columns: calls.append(columns) or gcd(columns))
+    _brute_buckets(n)
+    orbits = sum(math.prod(mu + 1 for mu in Counter(parts).values()) - 1 for parts in integer_partitions(n))
+    assert len(calls) == orbits
+    assert orbits == {8: 163, 10: 439}.get(n, orbits)
+
+
+@pytest.mark.parametrize("rows", range(1, 4))
+def test_minor_gcd_by_row_reduction_exhaustive(rows):
+    # every matrix of 1 to rows + 1 columns over -1..2 with at most 6
+    # entries (zero rows and dependent columns among them), and every
+    # generator selection of n <= 5 on the first n - 1 rows
+    for k in range(1, rows + 2):
+        if rows * k <= 6:
+            for entries in product(range(-1, 3), repeat=rows * k):
+                columns = [entries[i:i + rows] for i in range(0, rows * k, rows)]
+                assert _minor_gcd(columns) == minor_gcd(columns)
+    n = rows + 2
+    for edges, marks in generator_selections(n, range(n)):
+        columns = [c[:-1] for c in _columns(n, edges, marks)]
+        assert _minor_gcd(columns) == minor_gcd(columns)
+
+
+@given(st.integers(1, 6), st.data())
+def test_minor_gcd_by_row_reduction_random(rows, data):
+    # random integer columns, with zero rows and a dependent column drawn in
+    entry = st.integers(-12, 12)
+    columns = data.draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=rows))
+    dependent = bool(columns) and data.draw(st.booleans())
+    if dependent:
+        factors = data.draw(st.lists(st.integers(-3, 3), min_size=len(columns), max_size=len(columns)))
+        columns.append([sum(a * c[r] for a, c in zip(factors, columns)) for r in range(rows)])
+    zero = data.draw(st.sets(st.integers(0, rows - 1)))
+    columns = [tuple(0 if r in zero else x for r, x in enumerate(c)) for c in columns]
+    expected = minor_gcd(columns)
+    assert _minor_gcd(columns) == expected
+    assert not (dependent and expected)
 
 
 # c[m][k] summed over k, per radial count m, and summed over m, per
@@ -279,16 +257,17 @@ _UNSIGNED = {
 }
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, zonotope.BRUTE_MAX + 1))
 def test_unsigned_sums_keep_the_top_level(monkeypatch, n):
     # the signed top is 0 for every n >= 3, so a pass that dropped its top
     # level would pass the signed checks from n = 3 on
     monkeypatch.setattr(zonotope, "_RADIAL_SIGN", 1)
-    volume, points = _UNSIGNED[n]
-    assert volume == n ** (n - 1) * 2 ** (n - 2) * (n + 1)
     lower, top = _brute_pass(n)
-    assert n * top == volume
-    assert lower + top == points
+    assert n * top == n ** (n - 1) * 2 ** (n - 2) * (n + 1)
+    if n in _UNSIGNED:
+        volume, points = _UNSIGNED[n]
+        assert volume == n * top
+        assert lower + top == points
 
 
 def _ones_column_identity(n, edges, marks):
@@ -351,13 +330,15 @@ def test_lattice_count_jobs():
 
 
 def test_lattice_count_bounds():
-    # the largest n accepted: both routes read one pass, checked by definition
-    assert lattice_count_bruteforce(8) == lattice_count_closed_form(8) == 348_852
-    assert volume_bruteforce(8) == volume_closed_form(8)
+    # every n accepted: both routes read one pass, checked by definition
+    for n in range(2, zonotope.BRUTE_MAX + 1):
+        assert lattice_count_bruteforce(n) == lattice_count_closed_form(n)
+        assert volume_bruteforce(n) == volume_closed_form(n)
+    assert lattice_count_bruteforce(8) == 348_852
     with pytest.raises(ValueError):
         lattice_count_bruteforce(1)
     with pytest.raises(ValueError):
-        lattice_count_bruteforce(9)
+        lattice_count_bruteforce(zonotope.BRUTE_MAX + 1)
     with pytest.raises(ValueError):
         lattice_count_closed_form(1)
 
