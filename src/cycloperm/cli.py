@@ -145,8 +145,8 @@ def _run_linkage(args) -> list[ResultRecord]:
     if n > CLOSED_N_MAX:
         raise ValueError(f"n={n} (bars - 1) exceeds the cap n <= {CLOSED_N_MAX} of linkage {args.sub}")
     ints = linkage_mod._scaled_lengths(lengths)[1]  # the O(n) checks of validation name invalid lengths first
-    if args.method == "forests" and n > linkage_mod.EQUILATERAL_FOREST_MAX:
-        raise ValueError(f"n={n} exceeds bound={linkage_mod.EQUILATERAL_FOREST_MAX}; use moduli_volume_theorem")
+    if args.method == "forests" and n > (bound := importlib.import_module(".zonotope", __package__).BRUTE_MAX):
+        raise ValueError(f"n={n} exceeds bound={bound}; use moduli_volume_theorem")
     if linkage_mod._table_bound(ints, _LINKAGE_TABLE_CAP) > _LINKAGE_TABLE_CAP:
         raise ValueError(
             f"the subset-sum table of these lengths may take more than {_LINKAGE_TABLE_CAP} steps, "

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations
 from typing import Iterable, Iterator, Sequence
 
-from .forests import NormalizedVolume, _Value, enumerate_decorated_forests, set_partitions
+from .forests import NormalizedVolume, _Value, set_partitions
 
 
 class LinkageError(ValueError):
@@ -242,24 +242,19 @@ def moduli_volume_theorem(spec: LinkageSpec) -> NormalizedVolume:
     return NormalizedVolume(n * (sum(terms[::2]) - sum(terms[1::2])), n)
 
 
-# Largest n (bars - 1) that moduli_volume_forests accepts; equilateral_volume
-# runs that forest route for n = 2m up to here.
-EQUILATERAL_FOREST_MAX = 6
-
-
 def moduli_volume_forests(spec: LinkageSpec) -> NormalizedVolume:
     """Volume of M(L) as the decorated-forest sum of (-n)^(#marks) * N(F)
-    restricted to forests whose free tree spans a long vertex set."""
+    over the forests whose free tree spans a long vertex set.  In the brute
+    pass, n * top[N] sums it over all free trees on N of the first n bars,
+    an equal share per N-set by symmetry, and a_{n-N} N-sets are long (their
+    complement with the last bar is short).  Refuse past zonotope.BRUTE_MAX."""
+    from . import zonotope
+
     n = spec.n
-    if n > EQUILATERAL_FOREST_MAX:
-        raise ValueError(f"n={n} exceeds bound={EQUILATERAL_FOREST_MAX}; use moduli_volume_theorem")
-    ints = _scaled_lengths(spec.lengths)[1]
-    perimeter = sum(ints)
-    total = 0
-    for f in enumerate_decorated_forests(n):
-        if 2 * sum(ints[i - 1] for i in f.free_tree_vertices) >= perimeter:  # long
-            total += (-n) ** f.mark_count * f.free_tree_size
-    return NormalizedVolume(Fraction(total), n)
+    if n > zonotope.BRUTE_MAX:
+        raise ValueError(f"n={n} exceeds bound={zonotope.BRUTE_MAX}; use moduli_volume_theorem")
+    top, a = zonotope._brute_sums(n, 1)[2], spec._profile
+    return NormalizedVolume(sum(a[n - N] * (n * top[N] // math.comb(n, N)) for N in range(1, n + 1)), n)
 
 
 # --- Betti numbers ---
@@ -419,12 +414,15 @@ class EquilateralVolumeComparison(_Value):
     `binomial_display` evaluates the closed-form candidate
     sqrt(2m) * sum_{k=0}^m (-1)^k C(2m,k) (2m-k)^(2m-2); it disagrees with
     the short-set-profile theorem (and the forest route) already at m = 2,
-    so both are carried along with an agreement flag."""
+    so both are carried along with an agreement flag.  `forest` is None
+    past m = BRUTE_MAX / 2, where the forest route refuses."""
 
     __slots__ = _fields = ("binomial_display", "theorem", "forest", "agree")
 
 
 def equilateral_volume(m: int) -> EquilateralVolumeComparison:
+    from .zonotope import BRUTE_MAX
+
     if m < 2:
         raise ValueError("need m >= 2")
     n = 2 * m
@@ -432,5 +430,5 @@ def equilateral_volume(m: int) -> EquilateralVolumeComparison:
     display = NormalizedVolume(n * (sum(terms[::2]) - sum(terms[1::2])), n)
     spec = LinkageSpec((1,) * (n + 1))
     theorem = moduli_volume_theorem(spec)
-    forest = moduli_volume_forests(spec) if n <= EQUILATERAL_FOREST_MAX else None
+    forest = moduli_volume_forests(spec) if n <= BRUTE_MAX else None
     return EquilateralVolumeComparison(display, theorem, forest, display == theorem)

@@ -100,13 +100,19 @@ def _check_determinant_lemma(n_max: int, jobs: int) -> str:
 
 
 def _check_cyclo_routes(n_max: int, jobs: int) -> str:
-    # one brute pass gives both defining sums, stored as the finished
-    # volume and lattice count that the brute routes return
+    # one brute pass gives both defining sums, stored finished as the brute routes return
+    # them, and term by term: the top level by free-tree size N, every level by unmarked count v
     brute_top = min(n_max, zonotope.BRUTE_MAX)
     for n in range(2, brute_top + 1):
-        volume, count = zonotope._brute_sums(n, jobs)
+        volume, count, top, every = zonotope._brute_sums(n, jobs)
         _require(volume == zonotope.volume_by_forests(n), f"brute and forest volumes differ at n={n}")
         _require(count == zonotope.lattice_count_closed_form(n), f"brute and closed lattice counts differ at n={n}")
+        terms = [math.comb(n, N) * N ** (N - 1) * forests._abel(n - N, -1, -n) for N in range(1, n + 1)]
+        for N, term in enumerate(terms, 1):
+            _require(n * top[N] == term, f"brute and forest volumes differ at n={n} in the term N={N}")
+        terms = [-math.comb(n, v) * (-v) ** (n - v - 1) * zonotope.forest_gcd_sum(v) for v in range(1, n)]
+        for v, term in enumerate(terms + [zonotope.forest_count(n)], 1):
+            _require(every[v] == term, f"brute and closed lattice counts differ at n={n} in the term v={v}")
     wide_top = max(n_max, 10)
     for n in range(2, wide_top + 1):
         forest = zonotope.volume_by_forests(n)
@@ -114,8 +120,8 @@ def _check_cyclo_routes(n_max: int, jobs: int) -> str:
     for n, value in {2: 0, 3: 1, 4: 18}.items():
         _require(zonotope.lattice_count_closed_form(n) == value, f"closed lattice count Lambda({n}) != {value}")
     return (
-        f"one brute pass per n gives the forest volume and the closed lattice count for n <= {brute_top}; "
-        f"forest and closed volumes agree for n <= {wide_top}; Lambda = 0, 1, 18 at n = 2, 3, 4"
+        f"one brute pass per n, term by term, gives the forest volume and the closed lattice count "
+        f"for n <= {brute_top}; forest and closed volumes agree for n <= {wide_top}; Lambda = 0, 1, 18 at n = 2, 3, 4"
     )
 
 
@@ -168,22 +174,19 @@ def _check_linkage_volumes(n_max: int, jobs: int) -> str:
         vol = linkage.moduli_volume_theorem(spec)
         _require(vol == zonotope.NormalizedVolume(coeff, radicand), f"volume of {lengths}")
         _require(vol == linkage.moduli_volume_forests(spec), f"forest route for {lengths}")
-    rng = random.Random(90210)
-    checked = 0
-    for bars in (4, 5, 6):
-        for _ in range(3):
-            spec = _random_linkage(rng, bars)
-            vol = linkage.moduli_volume_theorem(spec)
-            _require(vol == linkage.moduli_volume_forests(spec), f"routes differ for {spec.lengths}")
-            checked += 1
-    comparisons = {m: linkage.equilateral_volume(m) for m in (2, 3)}
+    rng, top = random.Random(90210), min(n_max, zonotope.BRUTE_MAX)  # the passes cyclo-routes compared
+    specs = [_random_linkage(rng, bars) for bars in range(4, top + 2) for _ in range(3)]
+    for spec in specs:
+        vol = linkage.moduli_volume_theorem(spec)
+        _require(vol == linkage.moduli_volume_forests(spec), f"routes differ for {spec.lengths}")
+    comparisons = {m: linkage.equilateral_volume(m) for m in range(2, max(top // 2, 2) + 1)}
     for m, cmp in comparisons.items():
         _require(cmp.forest == cmp.theorem, f"equilateral routes differ at m={m}")
         _require(not cmp.agree, f"binomial display unexpectedly agrees at m={m}")
     cmp = comparisons[2]
     _require(cmp.binomial_display == zonotope.NormalizedVolume(16, 4), "equilateral display")
     _require(cmp.theorem == zonotope.NormalizedVolume(-80, 4), "equilateral theorem value")
-    return f"three named + {checked} random linkages agree across routes; equilateral display flagged"
+    return f"routes agree on 3 named, {len(specs)} random, m <= {max(comparisons)} equilateral linkages; display flagged"
 
 
 def _check_linkage_topology(n_max: int, jobs: int) -> str:

@@ -12,7 +12,8 @@ generators up to sign and keeps the lattice, so one representative per
 S_n-orbit of selections gives the gcd of all, taken by row reduction.
 One pass per n gives both answers, stored finished in _brute_sums: the
 volume is n times its top level, since det[C | 1] = n * det(C on the
-first n - 1 rows), and the lattice count adds the lower levels.
+first n - 1 rows), and the lattice count adds the lower levels.  Both
+are kept by unmarked vertex count too, for linkage's forest volume.
 
 A volume in R^n along the hyperplane sum(x) = const is c / sqrt(n); the
 exact rational c and the radicand n travel together in NormalizedVolume.
@@ -121,54 +122,55 @@ def _minor_gcd(columns) -> int:
     return g
 
 
-def _brute_buckets(n: int) -> list[list[int]]:
-    """c[m][k]: the defining sum over the selections of m radials and k
-    generators, by S_n-orbits.  An independent selection is a forest with at
-    most one mark per tree and some tree unmarked; its lattice depends only
-    on the partition into trees (the incidence matrix is totally unimodular)
-    and the marked blocks.  An orbit is a multiset of blocks (size s, marked
-    t): n! / prod(s!^mu t! (mu - t)!) partitions, s^(s - 2) trees (Cayley)
-    and s places per mark, and one gcd of minors, taken on consecutive
-    blocks with path edges and each mark at its block's least vertex."""
-    c = [[0] * n for _ in range(n)]
+def _brute_buckets(n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """(c, top, every) of the defining sum, by S_n-orbits: c[m][k] over the
+    selections of m radials and k generators, top[v] and every[v] over those
+    of v unmarked vertices and n - 1 or any number of generators.  An
+    independent selection is a forest with at most one mark per tree and
+    some tree unmarked (at n - 1 generators, exactly one: the free tree);
+    its lattice depends only on the partition into trees (the incidence
+    matrix is totally unimodular) and the marked blocks.  An orbit is a
+    multiset of blocks (size s, marked t): n! / prod(s!^mu t! (mu - t)!)
+    partitions, s^(s - 2) trees (Cayley) and s places per mark, and one gcd
+    of minors, taken on consecutive blocks with path edges and each mark at
+    its block's least vertex."""
+    c, top, every = [[0] * n for _ in range(n)], [0] * (n + 1), [0] * (n + 1)
     for sizes in _block_sizes(n, n):
         for marked in product(*(range(mu + 1) for _, mu in sizes)):
             if all(t == mu for t, (_, mu) in zip(marked, sizes)):
                 continue  # a mark on every tree: n generators
-            weight, edges, marks, first = math.factorial(n), [], [], 1
+            weight, edges, marks, first, v = math.factorial(n), [], [], 1, n
             for (s, mu), t in zip(sizes, marked):
                 weight //= math.factorial(s) ** mu * math.factorial(t) * math.factorial(mu - t)
                 weight *= s ** (mu * max(s - 2, 0) + t)
+                v -= s * t
                 for b in range(mu):
-                    edges += [(v, v + 1) for v in range(first, first + s - 1)]
+                    edges += [(u, u + 1) for u in range(first, first + s - 1)]
                     marks += [first] * (b < t)
                     first += s
             g = _minor_gcd([col[:-1] for col in _columns(n, edges, marks)])
-            c[len(marks)][len(edges) + len(marks)] += _RADIAL_SIGN ** len(marks) * weight * g
-    return c
+            term, k = _RADIAL_SIGN ** len(marks) * weight * g, len(edges) + len(marks)
+            c[len(marks)][k] += term
+            every[v] += term
+            top[v] += term * (k == n - 1)
+    return c, top, every
 
 
-def _brute_pass(n: int) -> tuple[int, int]:
-    """(lower, top): the selections of at most n - 2 generators, and of n - 1."""
-    buckets = _brute_buckets(n)
-    return sum(sum(row[:-1]) for row in buckets), sum(row[-1] for row in buckets)
+# n -> (volume, lattice count, top, every) by the defining sums, kept for the
+# life of the process like _FOREST_VOLUMES: one pass per n, stored finished.
+_BRUTE_SUMS: dict[int, tuple[NormalizedVolume, int, tuple[int, ...], tuple[int, ...]]] = {}
 
 
-# n -> (volume, lattice count) by the defining sums, kept for the life of the
-# process like _FOREST_VOLUMES: one pass per n, stored finished, so a repeat
-# of either brute route is one read.
-_BRUTE_SUMS: dict[int, tuple[NormalizedVolume, int]] = {}
-
-
-def _brute_sums(n: int, jobs: int) -> tuple[NormalizedVolume, int]:
-    """(n * top / sqrt(n), lower + top) of _brute_pass(n), once per process;
-    jobs is validated on every call but not used."""
+def _brute_sums(n: int, jobs: int) -> tuple[NormalizedVolume, int, tuple[int, ...], tuple[int, ...]]:
+    """(n * sum(top) / sqrt(n), sum(every), top, every) of _brute_buckets(n),
+    once per process; jobs is validated on every call but not used."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     sums = _BRUTE_SUMS.get(n)
-    if sums is None:
-        lower, top = _brute_pass(n)
-        sums = _BRUTE_SUMS[n] = NormalizedVolume(n * top, n), lower + top
+    if sums is not None:
+        return sums
+    _, top, every = _brute_buckets(n)
+    sums = _BRUTE_SUMS[n] = NormalizedVolume(n * sum(top), n), sum(every), tuple(top), tuple(every)
     return sums
 
 

@@ -472,11 +472,16 @@ def test_triangle_violation_named_before_the_table_budget(capsys, monkeypatch):
 
 
 def test_forest_route_bound_refused_before_the_table(capsys, monkeypatch):
-    # the forest route enumerates decorated forests; past its bound no table is built
+    # the forest route reads the brute pass: it answers as the theorem does
+    # up to BRUTE_MAX, and past it no table is built
+    argv = ["linkage", "volume", "--lengths", ",".join(["1"] * 17)]
+    code, out, _ = _capture(capsys, argv)
+    assert (code, "coeff=-791125641446080512 " in out) == (0, True)
+    assert _capture(capsys, argv + ["--method", "forests"]) == (0, out.replace("=theorem", "=forests"), "")
     monkeypatch.setattr(linkage, "_table_bound", lambda ints, cap: pytest.fail("table bound started"))
     monkeypatch.setattr(linkage, "validate", lambda lengths: pytest.fail("validation started"))
-    argv = ["linkage", "volume", "--lengths", "1,1,1,1,1,1,1,2", "--method", "forests"]
-    assert _capture(capsys, argv) == (2, "", "error: n=7 exceeds bound=6; use moduli_volume_theorem\n")
+    argv = ["linkage", "volume", "--lengths", ",".join(["1"] * 17 + ["2"]), "--method", "forests"]
+    assert _capture(capsys, argv) == (2, "", "error: n=17 exceeds bound=16; use moduli_volume_theorem\n")
 
 
 def test_linkage_cells_bar_cap(capsys, monkeypatch):
@@ -534,8 +539,8 @@ def test_validation_exit_codes(capsys):
         argv = ["linkage", "volume", "--lengths", text]
         assert _capture(capsys, argv) == (2, "", "error: not a rational number: ''\n")
     # the forest route's bar cap, and run_all's guard
-    argv = ["linkage", "volume", "--lengths", "1,1,1,1,1,1,1,2", "--method", "forests"]
-    assert _capture(capsys, argv) == (2, "", "error: n=7 exceeds bound=6; use moduli_volume_theorem\n")
+    argv = ["linkage", "volume", "--lengths", ",".join(["1"] * 17 + ["2"]), "--method", "forests"]
+    assert _capture(capsys, argv) == (2, "", "error: n=17 exceeds bound=16; use moduli_volume_theorem\n")
     assert _capture(capsys, ["verify", "--n-max", "1"]) == (2, "", "error: n_max must be at least 2\n")
     # argparse-level failures also exit 2
     assert run(["cyclo", "volume"]) == 2
@@ -699,6 +704,7 @@ assert not loaded() & {"cycloperm.intlin", "cycloperm.oracle", "cycloperm.verifi
 run("verify", "--n-max", "2")
 assert not new("json"), "a text-format run loaded json"
 run("linkage", "betti", "--lengths", "1,1,1,1,3.5", "--format", "json")
+run("linkage", "volume", "--lengths", "1.2,1,1,0.8,2.2", "--method", "forests")
 namespace = {}
 exec("from cycloperm import *", namespace)
 missing = [name for name in cycloperm.__all__ if name not in namespace]

@@ -296,23 +296,27 @@ def test_named_volumes():
         assert approx_string(vol.coeff, vol.radicand) == text
 
 
-def test_volume_routes_agree():
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4)), min_size=4, max_size=13))
+def test_volume_routes_agree(pairs):
+    # the forest route reads the brute pass's top level by free-tree size,
+    # the theorem is a closed sum over the same profile
     for spec in (TORUS, PENTAGON, SPHERE):
         assert moduli_volume_forests(spec) == moduli_volume_theorem(spec)
-    rng = random.Random(4242)
-    for bars in (4, 5, 6):
-        for _ in range(3):
-            spec = _random_linkage(rng, bars)
-            assert moduli_volume_forests(spec) == moduli_volume_theorem(spec)
+    try:
+        spec = validate(sorted(Fraction(v, d) for v, d in pairs))
+    except LinkageError:
+        return
+    assert moduli_volume_forests(spec) == moduli_volume_theorem(spec)
 
 
 def test_volume_forests_bound():
-    spec = validate((1,) * 9)
-    with pytest.raises(ValueError):
-        moduli_volume_forests(spec)
-    # n = 7, one above the cap, with the message the CLI prints
-    with pytest.raises(ValueError, match=r"^n=7 exceeds bound=6; use moduli_volume_theorem$"):
-        moduli_volume_forests(validate((1,) * 7 + (2,)))
+    # n = 16, the last brute pass, is answered; n = 17 is refused, with the
+    # message the CLI prints
+    spec = validate((1,) * 17)
+    assert moduli_volume_forests(spec) == moduli_volume_theorem(spec)
+    with pytest.raises(ValueError, match=r"^n=17 exceeds bound=16; use moduli_volume_theorem$"):
+        moduli_volume_forests(validate((1,) * 17 + (2,)))
 
 
 def test_betti_numbers():
@@ -440,6 +444,7 @@ def test_equilateral_comparison():
     assert cmp3.forest == cmp3.theorem
     assert not cmp3.agree
     cmp4 = equilateral_volume(4)
-    assert cmp4.forest is None
+    assert cmp4.forest == cmp4.theorem
+    assert equilateral_volume(9).forest is None  # n = 18 is past BRUTE_MAX
     with pytest.raises(ValueError):
         equilateral_volume(1)

@@ -47,6 +47,15 @@ def _last_tree_repeats_first(enumerate_trees):
     return mutated
 
 
+def _without_top(brute_buckets):
+    # the pass drops its top level: the vectors by unmarked count lose it too
+    def mutated(n):
+        buckets, top, every = brute_buckets(n)
+        return buckets, [0] * len(top), [e - t for e, t in zip(every, top)]
+
+    return mutated
+
+
 @pytest.mark.parametrize(
     "module, name, mutate, failing",
     [
@@ -76,8 +85,8 @@ def _last_tree_repeats_first(enumerate_trees):
             ["cyclo-routes"], id="closed-volume-wrong-at-9",
         ),
         pytest.param(
-            zonotope, "_brute_pass", lambda brute: lambda n: (brute(n)[0], 0),
-            ["cyclo-routes"], id="brute-pass-without-top",
+            zonotope, "_brute_buckets", _without_top,
+            ["cyclo-routes", "linkage-volumes"], id="brute-pass-without-top",
         ),
     ],
 )
@@ -95,19 +104,20 @@ def test_one_phi_table_feeds_the_closed_lattice_route_and_its_check(monkeypatch)
 
 @pytest.mark.parametrize("n_max, jobs", [(7, 1), (3, 2)])
 def test_one_brute_pass_per_n(monkeypatch, n_max, jobs):
-    # the volume and the lattice count of each n come from one pass, kept
-    # for the process: verify runs it once per n, and the brute routes
-    # read it again without a second pass
-    brute_pass, calls = zonotope._brute_pass, []
+    # the volume, the lattice count and the sums by unmarked count of each n
+    # come from one pass, kept for the process: verify runs it at most once
+    # per n that its checks read (the brute range, and n = 4 of the named
+    # linkages), and the brute routes read it again without a second pass
+    brute_buckets, calls = zonotope._brute_buckets, []
 
     def counted(n):
         calls.append(n)
-        return brute_pass(n)
+        return brute_buckets(n)
 
-    monkeypatch.setattr(zonotope, "_brute_pass", counted)
+    monkeypatch.setattr(zonotope, "_brute_buckets", counted)
     assert all(r.passed for r in verification.run_all(n_max, jobs=jobs))
     brute_ns = range(2, min(n_max, zonotope.BRUTE_MAX) + 1)
     for n in brute_ns:
         assert zonotope.volume_bruteforce(n, jobs=jobs) == zonotope.volume_closed_form(n)
         assert zonotope.lattice_count_bruteforce(n, jobs=jobs) == zonotope.lattice_count_closed_form(n)
-    assert calls == list(brute_ns)
+    assert calls == sorted({*brute_ns, 4})

@@ -24,7 +24,6 @@ from cycloperm.oracle import generator_selections, integer_partitions
 from cycloperm.zonotope import (
     NormalizedVolume,
     _brute_buckets,
-    _brute_pass,
     _columns,
     _minor_gcd,
     edge_vector,
@@ -158,12 +157,22 @@ def test_marks_sets_of_one_size_sum_alike(n):
 def test_brute_pass_is_the_definition(n):
     # bucket (m, k) sums (-1)^m times the minor gcd of every selection of m
     # radials and k generators, one term per selection, nothing grouped;
-    # on the top level that gcd is the |minor on the first n - 1 rows|
-    buckets = [[0] * n for _ in range(n)]
+    # on the top level that gcd is the |minor on the first n - 1 rows|.
+    # every[v] sums the same terms by the vertices v of the unmarked trees,
+    # and top[v] those of n - 1 generators (a dependent selection adds 0)
+    buckets, top, every = [[0] * n for _ in range(n)], [0] * (n + 1), [0] * (n + 1)
     for edges, marks in generator_selections(n, range(n)):
-        buckets[len(marks)][len(edges) + len(marks)] += (-1) ** len(marks) * minor_gcd(_columns(n, edges, marks))
-    assert _brute_buckets(n) == buckets
-    assert _brute_pass(n) == (sum(sum(row[:-1]) for row in buckets), sum(row[-1] for row in buckets))
+        term, k = (-1) ** len(marks) * minor_gcd(_columns(n, edges, marks)), len(edges) + len(marks)
+        buckets[len(marks)][k] += term
+        if term:
+            trees = forests.components_of(range(1, n + 1), edges)
+            v = sum(len(tree) for tree in trees if tree.isdisjoint(marks))
+            every[v] += term
+            if k == n - 1:
+                top[v] += term
+    assert _brute_buckets(n) == (buckets, top, every)
+    lower = sum(sum(row[:-1]) for row in buckets)
+    assert (sum(every) - sum(top), sum(top)) == (lower, sum(row[-1] for row in buckets))
 
 
 @pytest.mark.parametrize("n", range(2, zonotope.BRUTE_MAX + 1))
@@ -233,11 +242,12 @@ def test_brute_buckets_by_radials_and_generators(n):
     # m radials and k generators; the radial sign is in the buckets, both
     # sums of the table give the lattice count, and the absolute sums by
     # radial count give the points of the zonotope sum(q_ij) + sum(r_i)
-    buckets = _brute_buckets(n)
+    buckets, top, every = _brute_buckets(n)
     assert all(row[:m] == [0] * m for m, row in enumerate(buckets))
     by_radials, by_generators = _BUCKET_SUMS[n]
     assert [sum(row) for row in buckets] == by_radials
     assert [sum(column) for column in zip(*buckets)] == by_generators
+    assert (sum(top), sum(every)) == (by_generators[-1], sum(by_generators))
     assert sum(by_radials) == lattice_count_closed_form(n)
     assert sum(map(abs, by_radials)) == _UNSIGNED[n][1]
 
@@ -262,12 +272,12 @@ def test_unsigned_sums_keep_the_top_level(monkeypatch, n):
     # the signed top is 0 for every n >= 3, so a pass that dropped its top
     # level would pass the signed checks from n = 3 on
     monkeypatch.setattr(zonotope, "_RADIAL_SIGN", 1)
-    lower, top = _brute_pass(n)
-    assert n * top == n ** (n - 1) * 2 ** (n - 2) * (n + 1)
+    _, top, every = _brute_buckets(n)
+    assert n * sum(top) == n ** (n - 1) * 2 ** (n - 2) * (n + 1)
     if n in _UNSIGNED:
         volume, points = _UNSIGNED[n]
-        assert volume == n * top
-        assert lower + top == points
+        assert volume == n * sum(top)
+        assert sum(every) == points
 
 
 def _ones_column_identity(n, edges, marks):
@@ -411,7 +421,7 @@ def test_brute_routes_answer_a_repeat_from_the_table(monkeypatch, n, first):
     first(n)
     routes = (volume_bruteforce, lattice_count_bruteforce)
     values = [volume_closed_form(n), lattice_count_closed_form(n)]
-    monkeypatch.setattr(zonotope, "_brute_pass", _recomputed)
+    monkeypatch.setattr(zonotope, "_brute_buckets", _recomputed)
     monkeypatch.setattr(zonotope, "NormalizedVolume", _recomputed)
     monkeypatch.setattr(zonotope, "Fraction", _recomputed)
     monkeypatch.setattr(zonotope, "math", _NoMath())
