@@ -16,14 +16,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "forests": (
-        "DecoratedForest",
-        "LabeledForest",
         "NormalizedVolume",
-        "PartialDecoratedForest",
         "abel_eval",
-        "enumerate_decorated_forests",
-        "enumerate_partial_decorated_forests",
-        "enumerate_trees",
         "forest_count",
         "forest_gcd_sum",
     ),
@@ -49,7 +43,6 @@ _EXPORTS = {
         "lattice_count_closed_form",
         "permutohedron_lattice_count",
         "permutohedron_volume",
-        "sharp_of_partial_forest",
         "volume_bruteforce",
         "volume_by_forests",
         "volume_closed_form",

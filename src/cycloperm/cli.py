@@ -272,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     pool = argparse.ArgumentParser(add_help=False)  # the commands that can run a brute scan
-    pool.add_argument("--jobs", type=_jobs, default=1, help="parallelism cap N >= 1 for brute-force scans")
+    pool.add_argument(
+        "--jobs", type=_jobs, default=1, help="N >= 1, validated but without effect: the brute pass runs in one process"
+    )
     groups = parser.add_subparsers(dest="group", required=True)
 
     cyclo = groups.add_parser("cyclo", help="cyclopermutohedron").add_subparsers(

@@ -5,6 +5,13 @@ exact linear solves, partition sums, subset and set-partition scans,
 generator selections, coordinate geometry) and shares no code path with
 the formula implementations it validates.  Its one determinant is
 `intlin.det_rows`, which no product route calls.
+
+A generator selection (edges, marks) is the one forest format: edges on
+[n] in lexicographic order, marks ascending.  `free_components` holds the
+decorated-forest definition (acyclic edges, at most one mark per tree),
+`forest_selections` filters the selections by it, and the labeled trees
+(`trees_on`, by Pruefer decoding) and the sharp formula of a partial
+decorated forest take and give plain edge tuples.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from typing import Iterable, Iterator, Sequence
 from .forests import NormalizedVolume
 from .intlin import det_rows
 from .linkage import LinkageSpec, _admissible_partitions, is_short
+
+Edge = tuple[int, int]
 
 # Largest n that permutohedron_lattice_points_direct scans (n^n points).
 PERMUTOHEDRON_DIRECT_MAX = 5
@@ -109,6 +118,105 @@ def generator_selections(n: int, sizes: Iterable[int]) -> Iterator[tuple[tuple, 
                     yield edges, marks
 
 
+def components_of(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[frozenset[int], ...]:
+    """Connected components of an acyclic graph, sorted by least vertex
+    (path-compressed union-find); raises on a cycle."""
+    parent = {v: v for v in vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            raise ValueError(f"edges contain a cycle through ({i},{j})")
+        parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, set[int]] = {}
+    for v in parent:
+        groups.setdefault(find(v), set()).add(v)
+    return tuple(frozenset(groups[r]) for r in sorted(groups))
+
+
+def free_components(n: int, edges: Iterable[Edge], marks: Iterable[int]) -> tuple[frozenset[int], ...] | None:
+    """The unmarked trees of the selection (edges, marks) on [n] when it is
+    a partial decorated forest (the edges are acyclic and no tree carries
+    two marks), None otherwise.  With |edges| + |marks| <= n - 1 some tree
+    is free; at n - 1 exactly one is, and the selection is a decorated
+    forest, the selections of nonzero determinant (the determinant lemma)."""
+    try:
+        trees = components_of(range(1, n + 1), edges)
+    except ValueError:
+        return None
+    marks = frozenset(marks)
+    if any(len(tree & marks) > 1 for tree in trees):
+        return None
+    return tuple(tree for tree in trees if not tree & marks)
+
+
+def forest_selections(n: int, sizes: Iterable[int]) -> Iterator[tuple[tuple, tuple]]:
+    """The partial decorated forests among generator_selections(n, sizes),
+    in its order; at size n - 1, the decorated forests."""
+    for edges, marks in generator_selections(n, sizes):
+        if free_components(n, edges, marks) is not None:
+            yield edges, marks
+
+
+def sharp_of_partial_forest(n: int, edges: Sequence[Edge], marks: Sequence[int]) -> int:
+    """Lattice points in the semiopen brick of the partial decorated forest
+    (edges, marks) on [n]: n^(|marks| - 1) * gcd(free tree sizes), with
+    value 1 when there are no marks."""
+    free = free_components(n, edges, marks)
+    if free is None:
+        raise ValueError(f"edges {tuple(edges)}, marks {tuple(marks)} are no partial decorated forest on [{n}]")
+    if not marks:
+        return 1
+    return n ** (len(marks) - 1) * math.gcd(*map(len, free))
+
+
+def prufer_decode(labels: Sequence[int], seq: Sequence[int]) -> tuple[Edge, ...]:
+    """Edges of the tree on `labels` encoded by a Pruefer sequence of length
+    len(labels) - 2.  Single vertex decodes to the empty edge set."""
+    labels = tuple(sorted(labels))
+    v = len(labels)
+    if v == 1:
+        if seq:
+            raise ValueError("sequence must be empty for a single vertex")
+        return ()
+    if len(seq) != v - 2:
+        raise ValueError("sequence length must be len(labels) - 2")
+    if not set(seq) <= set(labels):
+        raise ValueError("sequence entries must be labels")
+    degree = {u: 1 for u in labels}
+    for s in seq:
+        degree[s] += 1
+    edges = []
+    for s in seq:
+        leaf = min(u for u in labels if degree[u] == 1)
+        edges.append((min(leaf, s), max(leaf, s)))
+        degree[leaf] -= 1
+        degree[s] -= 1
+    u, w = sorted(u for u in labels if degree[u] == 1)
+    edges.append((u, w))
+    return tuple(sorted(edges))
+
+
+def trees_on(labels: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
+    """All spanning trees on an arbitrary label set, as sorted edge tuples,
+    in Pruefer-lexicographic order (Cayley: v^(v-2) of them on v labels)."""
+    labels = tuple(sorted(labels))
+    v = len(labels)
+    if v == 0:
+        raise ValueError("empty vertex set")
+    if v <= 2:
+        yield () if v == 1 else ((labels[0], labels[1]),)
+        return
+    for seq in product(labels, repeat=v - 2):
+        yield prufer_decode(labels, seq)
+
+
 def integer_partitions(total: int) -> Iterator[tuple[int, ...]]:
     """Partitions of `total` into weakly decreasing positive parts."""
     if total < 0:
@@ -151,8 +259,8 @@ def forest_sums_by_partitions(n: int) -> tuple[int, int]:
 
 def hits_wall_by_subsets(lengths) -> bool:
     """Whether some subset of the lengths sums to half their total."""
-    half = sum(lengths) / 2
-    return any(sum(sub) == half for r in range(1, len(lengths) + 1) for sub in combinations(lengths, r))
+    total = sum(lengths)
+    return any(2 * sum(sub) == total for r in range(1, len(lengths) + 1) for sub in combinations(lengths, r))
 
 
 def profile_by_subsets(spec: LinkageSpec) -> tuple[int, ...]:

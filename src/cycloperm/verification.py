@@ -32,9 +32,9 @@ def _check_prufer_roundtrip(n_max: int, jobs: int) -> str:
     top = min(n_max, 7)
     for n in range(1, top + 1):
         whole = frozenset(range(1, n + 1))
-        trees = [tree.edges for tree in forests.enumerate_trees(n)]
+        trees = list(oracle.trees_on(whole))
         for edges in trees:
-            _require(forests.components_of(whole, edges) == (whole,), f"{edges} does not span [{n}]")
+            _require(oracle.components_of(whole, edges) == (whole,), f"{edges} does not span [{n}]")
         _require(len(set(trees)) == len(trees), f"two sequences decode to one tree at n={n}")
         _require(len(trees) == (n ** (n - 2) if n >= 2 else 1), f"Cayley count failed at n={n}")
     return f"decoded trees are distinct spanning trees, n^(n-2) of them, for n <= {top}"
@@ -55,10 +55,10 @@ def _check_forest_counts(n_max: int, jobs: int) -> str:
     top = min(n_max, 5)
     for n in range(1, top + 1):
         phi = gcd_sum = 0
-        for p in forests.enumerate_partial_decorated_forests(n):
-            if not p.marked:
+        for edges, marks in oracle.forest_selections(n, range(n)):
+            if not marks:  # a labeled forest: every tree is free
                 phi += 1
-                gcd_sum += math.gcd(*(len(c) for c in p.forest.components()))
+                gcd_sum += math.gcd(*map(len, oracle.free_components(n, edges, marks)))
         _require(forests.forest_count(n) == phi, f"phi({n}) mismatch vs enumeration")
         _require(forests.forest_gcd_sum(n) == gcd_sum, f"Phi({n}) mismatch vs enumeration")
     return f"phi and Phi match the partition sums for n <= {sums_top} and enumeration for n <= {top}"
@@ -70,8 +70,8 @@ def _check_rooted_forest_tables(n_max: int, jobs: int) -> str:
     top = min(n_max, 5)
     for n in range(0, top + 1):
         counts = [0] * (n + 1)
-        for tree in forests.enumerate_trees(n + 1):
-            counts[sum(j == n + 1 for _, j in tree.edges)] += 1
+        for edges in oracle.trees_on(range(1, n + 2)):
+            counts[sum(j == n + 1 for _, j in edges)] += 1
         for x in (-n, -2, -1, 0, 1, 2, 3, Fraction(1, 2)):
             value = sum(t * x ** k for k, t in enumerate(counts))
             _require(value == forests.abel_eval(n, -1, x), f"rooted forest counts differ at n={n}, x={x}")
@@ -81,21 +81,16 @@ def _check_rooted_forest_tables(n_max: int, jobs: int) -> str:
 def _check_determinant_lemma(n_max: int, jobs: int) -> str:
     top = min(n_max, 5)
     for n in range(2, top + 1):
-        decorated = set()
-        ones = zonotope.ones_vector(n)
-        for d in forests.enumerate_decorated_forests(n):
-            # each radial column is the ones column minus n e_k, so this
-            # is n^m times the determinant with unit mark columns
-            radial = abs(intlin.det_rows(zonotope.forest_columns(d) + [ones]))
-            _require(radial == n ** d.mark_count * d.free_tree_size, f"radial det != n^m N(F) at n={n}")
-            decorated.add((d.forest.edges, tuple(sorted(d.marked))))
-        # every other selection of n - 1 edge and radial columns is singular
+        # a selection of n - 1 edge and radial columns is regular exactly
+        # when it is a decorated forest; each radial column is the ones
+        # column minus n e_k, so |det| is n^m times that with unit mark
+        # columns, N(F) (the free tree's size)
         for edges, marks in oracle.generator_selections(n, (n - 1,)):
-            det = intlin.det_rows(zonotope._columns(n, edges, marks) + [ones])
-            _require(
-                (det != 0) == ((edges, marks) in decorated),
-                f"det {det} for edges {edges}, marks {marks} at n={n}",
-            )
+            det = intlin.det_rows(zonotope._columns(n, edges, marks) + [(1,) * n])
+            free = oracle.free_components(n, edges, marks)
+            _require((det != 0) == (free is not None), f"det {det} for edges {edges}, marks {marks} at n={n}")
+            if free is not None:
+                _require(abs(det) == n ** len(marks) * len(free[0]), f"radial det != n^m N(F) at n={n}")
     return f"det lemma exhaustive for n <= {top}; non-forest selections have det 0"
 
 
@@ -127,21 +122,21 @@ def _check_cyclo_routes(n_max: int, jobs: int) -> str:
 
 def _check_sharp_routes(n_max: int, jobs: int) -> str:
     # the worked examples: their columns are the worked matrices of the
-    # paper up to column signs
-    for edges, mark, expected in (
-        ([(1, 2), (2, 3), (4, 5)], 6, 1),
-        ([(1, 2), (3, 4), (4, 5), (5, 6)], 2, 4),
-        ([(1, 2), (3, 4), (4, 5), (5, 6)], 4, 2),
+    # paper up to column signs; the sharp formula refuses a selection
+    # that is no partial decorated forest
+    for edges, marks, expected in (
+        (((1, 2), (2, 3), (4, 5)), (6,), 1),
+        (((1, 2), (3, 4), (4, 5), (5, 6)), (2,), 4),
+        (((1, 2), (3, 4), (4, 5), (5, 6)), (4,), 2),
     ):
-        p = forests.PartialDecoratedForest(forests.LabeledForest(6, edges), [mark])
-        cols = zonotope.forest_columns(p)
-        _require(zonotope.sharp_of_partial_forest(p) == expected, f"sharp of worked forest {edges}")
+        _require(oracle.sharp_of_partial_forest(6, edges, marks) == expected, f"sharp of worked forest {edges}")
+        cols = zonotope._columns(6, edges, marks)
         _require(oracle.semiopen_count_direct(cols) == expected, f"scan of worked forest {edges}")
     top = min(n_max, 4)
     for n in range(2, top + 1):
-        for p in forests.enumerate_partial_decorated_forests(n):
-            cols = zonotope.forest_columns(p)
-            s = zonotope.sharp_of_partial_forest(p)
+        for edges, marks in oracle.forest_selections(n, range(n)):
+            cols = zonotope._columns(n, edges, marks)
+            s = oracle.sharp_of_partial_forest(n, edges, marks)
             _require(s == oracle.semiopen_count_direct(cols), f"sharp vs scan at n={n}")
     return f"sharp formula == point scan for n <= {top} and worked matrices"
 
@@ -154,9 +149,8 @@ def _check_permutohedron(n_max: int, jobs: int) -> str:
         _require(count == direct, f"permutohedron point count differs at n={n}")
     for n in range(2, min(n_max, 6) + 1):
         total = 0
-        ones = zonotope.ones_vector(n)
-        for tree in forests.enumerate_trees(n):
-            total += abs(intlin.det_rows(zonotope._columns(n, tree.edges, ()) + [ones]))
+        for edges in oracle.trees_on(range(1, n + 1)):
+            total += abs(intlin.det_rows(zonotope._columns(n, edges, ()) + [(1,) * n]))
         coeff = zonotope.permutohedron_volume(n).coeff
         _require(coeff == total, f"tree determinant sum differs at n={n}")
     _require(oracle.hexagon_area_direct() == zonotope.permutohedron_volume(3))

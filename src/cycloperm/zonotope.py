@@ -3,13 +3,15 @@
 The cyclopermutohedron is a virtual zonotope: the formal difference of a
 Minkowski sum of edge segments q_ij = [0, e_j - e_i] and radial segments
 r_i = [0, e - n e_i], translated by e = (1,...,1).  Its volume and its
-lattice-point count are alternating sums over generator selections; both
-sums collapse to closed forms through decorated forests.  The brute routes
-evaluate the sums as defined, with equal terms grouped: a selection's
-semiopen brick (Stanley's half-open parallelepiped) has the gcd of its
-maximal minors as its points, and a permutation of [n] permutes the
-generators up to sign and keeps the lattice, so one representative per
-S_n-orbit of selections gives the gcd of all, taken by row reduction.
+lattice-point count are alternating sums over generator selections, plain
+(edges, marks) tuples that _columns turns into columns; both sums
+collapse to closed forms through decorated forests, the selections that
+`oracle` defines as such.  The brute routes evaluate the sums as
+defined, with equal terms grouped: a selection's semiopen brick
+(Stanley's half-open parallelepiped) has the gcd of its maximal minors
+as its points, and a permutation of [n] permutes the generators up to
+sign and keeps the lattice, so one representative per S_n-orbit of
+selections gives the gcd of all, taken by row reduction.
 One pass per n gives both answers, stored finished in _brute_sums: the
 volume is n times its top level, since det[C | 1] = n * det(C on the
 first n - 1 rows), and the lattice count adds the lower levels.  Both
@@ -25,14 +27,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from .forests import (
-    DecoratedForest,
-    NormalizedVolume,
-    PartialDecoratedForest,
-    _abel,
-    forest_count,
-    forest_gcd_sum,
-)
+from .forests import NormalizedVolume, _abel, forest_count, forest_gcd_sum
 
 
 def edge_vector(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -50,10 +45,6 @@ def radial_vector(n: int, i: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def ones_vector(n: int) -> tuple[int, ...]:
-    return (1,) * n
-
-
 # --- generator columns ---
 
 
@@ -61,25 +52,6 @@ def _columns(n: int, edges, marks) -> list[tuple[int, ...]]:
     """Generator columns of a selection: one edge vector per edge, then one
     radial vector per mark, in the given orders."""
     return [edge_vector(n, i, j) for i, j in edges] + [radial_vector(n, k) for k in marks]
-
-
-def forest_columns(forest: PartialDecoratedForest | DecoratedForest) -> list[tuple[int, ...]]:
-    """Generator columns selected by a (partial) decorated forest: one edge
-    vector per edge (lexicographic) and one radial vector per mark
-    (ascending)."""
-    n = forest.forest.vertex_count
-    return _columns(n, forest.forest.edges, sorted(forest.marked))
-
-
-def sharp_of_partial_forest(forest: PartialDecoratedForest) -> int:
-    """Lattice points in the semiopen brick of a partial decorated forest:
-    n^(|marks| - 1) * gcd(free component sizes), with value 1 when there are
-    no marks."""
-    m = forest.mark_count
-    if m == 0:
-        return 1
-    n = forest.forest.vertex_count
-    return n ** (m - 1) * math.gcd(*(len(c) for c in forest.free_components()))
 
 
 # --- the defining sums by S_n-orbits of generator selections ---

@@ -11,23 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cycloperm import forests, linkage, zonotope
-from cycloperm.forests import (
-    DecoratedForest,
-    LabeledForest,
-    NormalizedVolume,
-    PartialDecoratedForest,
-    abel_eval,
+from cycloperm.forests import NormalizedVolume, abel_eval, forest_count, forest_gcd_sum, set_partitions
+from cycloperm.oracle import (
     components_of,
-    enumerate_decorated_forests,
-    enumerate_partial_decorated_forests,
-    enumerate_trees,
-    forest_count,
-    forest_gcd_sum,
+    forest_selections,
+    forest_sums_by_partitions,
+    free_components,
     prufer_decode,
-    set_partitions,
     trees_on,
 )
-from cycloperm.oracle import forest_sums_by_partitions
 from tests.conftest import _PROCESS_TABLES
 from tests.test_zonotope import _parent_closed_forms
 
@@ -165,19 +157,19 @@ def _partitions_by_growth_strings(items):
 
 def test_enumerate_trees_cayley():
     for n in range(1, 7):
-        trees = list(enumerate_trees(n))
+        trees = list(trees_on(range(1, n + 1)))
         assert len(trees) == (n ** (n - 2) if n >= 2 else 1)
-        assert len(set(t.edges for t in trees)) == len(trees)
-        for t in trees:
-            assert len(t.components()) == 1
+        assert len(set(trees)) == len(trees)
+        for edges in trees:
+            assert components_of(range(1, n + 1), edges) == (frozenset(range(1, n + 1)),)
     with pytest.raises(ValueError):
-        list(enumerate_trees(0))
+        list(trees_on(()))
 
 
 def test_trees_match_bruteforce():
     for n in range(1, 6):
         brute = {sub for sub in _brute_forests(n) if len(sub) == n - 1}
-        assert {t.edges for t in enumerate_trees(n)} == brute
+        assert set(trees_on(range(1, n + 1))) == brute
 
 
 def test_prufer_examples():
@@ -198,23 +190,16 @@ def test_prufer_roundtrip():
         assert list(trees_on(labels)) == trees
 
 
-# --- labeled forests ---
+# --- labeled forests: plain edge tuples ---
 
 
 def test_labeled_forest_validation():
-    f = LabeledForest(3, [(2, 1)])
-    assert f.edges == ((1, 2),)
-    assert len(f.components()) == 2
-    assert components_of(f.vertices, f.edges) == (frozenset({1, 2}), frozenset({3}))
-    assert LabeledForest(2, [(1, 2), (2, 1)]).edges == ((1, 2),)  # set semantics
-    with pytest.raises(ValueError):
-        LabeledForest(3, [(1, 1)])
-    with pytest.raises(ValueError):
-        LabeledForest(3, [(1, 4)])
-    with pytest.raises(ValueError):
-        LabeledForest(3, [(1, 2), (2, 3), (1, 3)])
-    with pytest.raises(ValueError):
-        LabeledForest(0)
+    # components_of accepts exactly the acyclic edge sets, in any edge order
+    assert components_of(range(1, 4), [(2, 1)]) == (frozenset({1, 2}), frozenset({3}))
+    assert components_of(range(1, 4), []) == (frozenset({1}), frozenset({2}), frozenset({3}))
+    with pytest.raises(ValueError, match="cycle"):
+        components_of(range(1, 4), [(1, 2), (2, 3), (1, 3)])
+    assert free_components(3, ((1, 2), (1, 3), (2, 3)), ()) is None
 
 
 @given(
@@ -225,21 +210,18 @@ def test_labeled_forest_validation():
         )
     )
 )
-def test_stored_components_match_components_of(case):
-    # the components kept at construction, or the same cycle error
+def test_components_of_matches_bruteforce(case):
+    # the DFS components, or a cycle error exactly when DFS finds a cycle
     n, edges = case
     normalized = tuple(sorted({(min(e), max(e)) for e in edges}))
-    try:
-        expected = components_of(range(1, n + 1), normalized)
-    except ValueError as exc:
-        assert _has_cycle(n, normalized)
-        with pytest.raises(ValueError) as raised:
-            LabeledForest(n, edges)
-        assert str(raised.value) == str(exc)
+    if _has_cycle(n, normalized):
+        with pytest.raises(ValueError, match="cycle"):
+            components_of(range(1, n + 1), normalized)
+        assert free_components(n, normalized, ()) is None
         return
-    assert not _has_cycle(n, normalized)
-    assert LabeledForest(n, edges).components() == expected
+    expected = components_of(range(1, n + 1), normalized)
     assert list(map(set, expected)) == _brute_components(n, normalized)
+    assert free_components(n, normalized, ()) == expected
 
 
 def test_forest_count_known_values():
@@ -383,114 +365,61 @@ def test_abel_grouped_sum_identity():
             assert rhs == -2
 
 
-# --- decorated forests ---
+# --- decorated forests: the selections the predicate accepts ---
 
 
 def test_decorated_forest_validation():
-    f = LabeledForest(3, [(1, 2)])
-    d = DecoratedForest(f, [3])
-    assert d.free_tree_vertices == frozenset({1, 2})
-    assert d.free_tree_size == 2
-    assert d.mark_count == 1
-    with pytest.raises(ValueError):
-        DecoratedForest(f, [1, 2])  # two marks in one component
-    with pytest.raises(ValueError):
-        DecoratedForest(f, [])  # |edges| + |marks| != n - 1
-    with pytest.raises(ValueError):
-        DecoratedForest(f, [4])
-    with pytest.raises(ValueError):
-        DecoratedForest(LabeledForest(3, [(1, 2), (2, 3)]), [1])  # no free component
+    assert free_components(3, ((1, 2),), (3,)) == (frozenset({1, 2}),)  # the free tree is {1, 2}
+    assert free_components(3, ((1, 2),), (1, 2)) is None  # two marks in one tree
+    assert free_components(3, ((1, 2), (1, 3), (2, 3)), ()) is None  # a cycle
+    assert free_components(3, ((1, 2), (2, 3)), (1,)) == ()  # n generators: no tree is free
+    assert (((1, 2),), (3,)) in set(forest_selections(3, (2,)))
+    assert (((1, 2),), ()) not in set(forest_selections(3, (2,)))  # |edges| + |marks| != n - 1
 
 
 def test_partial_decorated_forest_validation():
-    f = LabeledForest(3, [])
-    p = PartialDecoratedForest(f, [1, 2])
-    assert p.free_components() == (frozenset({3}),)
-    assert tuple(c for c in f.components() if c & p.marked) == (frozenset({1}), frozenset({2}))
-    with pytest.raises(ValueError):
-        PartialDecoratedForest(f, [1, 2, 3])  # cap |edges| + |marks| <= n - 1
-    with pytest.raises(ValueError):
-        PartialDecoratedForest(LabeledForest(3, [(1, 2)]), [1, 2])
+    assert free_components(3, (), (1, 2)) == (frozenset({3}),)
+    assert free_components(3, (), (1, 2, 3)) == ()  # every tree marked: n generators
+    assert ((), (1, 2, 3)) not in set(forest_selections(3, range(3)))  # cap |edges| + |marks| <= n - 1
+    assert free_components(3, ((1, 2),), (1, 2)) is None
 
 
 def test_enumerate_decorated_forests_counts():
-    assert len(list(enumerate_decorated_forests(1))) == 1
-    assert len(list(enumerate_decorated_forests(2))) == 3
-    assert len(list(enumerate_decorated_forests(3))) == 15
-    # count formula: choose the free tree, rooted forest on the rest
-    for n in range(1, 6):
-        expected = sum(
+    # choose the free tree on N vertices, a rooted forest on the rest:
+    # sum_N C(n, N) N^(N-2) (n-N+1)^(n-N-1)
+    counts = [sum(1 for _ in forest_selections(n, (n - 1,))) for n in range(1, 7)]
+    assert counts == [1, 3, 15, 110, 1080, 13377]
+    for n, count in enumerate(counts, 1):
+        assert count == sum(
             math.comb(n, N) * N ** max(N - 2, 0) * (n - N + 1) ** max(n - N - 1, 0)
             for N in range(1, n + 1)
         )
-        assert len(list(enumerate_decorated_forests(n))) == expected
 
 
 def test_enumerate_decorated_forests_matches_bruteforce():
-    for n in range(1, 5):
-        got = [(d.forest.edges, d.marked) for d in enumerate_decorated_forests(n)]
+    for n in range(1, 6):
+        got = [(edges, frozenset(marks)) for edges, marks in forest_selections(n, (n - 1,))]
         assert len(got) == len(set(got))
         assert set(got) == _brute_decorated(n)
 
 
 def test_enumerate_partial_decorated_forests_counts():
-    assert len(list(enumerate_partial_decorated_forests(1))) == 1
-    assert len(list(enumerate_partial_decorated_forests(2))) == 4
-    assert len(list(enumerate_partial_decorated_forests(3))) == 22
+    counts = [sum(1 for _ in forest_selections(n, range(n))) for n in range(1, 7)]
+    assert counts == [1, 4, 22, 166, 1636, 20154]
 
 
 def test_enumerate_partial_decorated_forests_matches_bruteforce():
-    for n in range(1, 5):
-        got = [(p.forest.edges, p.marked) for p in enumerate_partial_decorated_forests(n)]
+    for n in range(1, 6):
+        got = [(edges, frozenset(marks)) for edges, marks in forest_selections(n, range(n))]
         assert len(got) == len(set(got))
         assert set(got) == _brute_partial(n)
 
 
 def test_every_decorated_forest_is_partial():
+    # and the free trees are the unmarked components of the DFS reference
     for n in range(1, 5):
         partial = _brute_partial(n)
-        for d in enumerate_decorated_forests(n):
-            assert (d.forest.edges, d.marked) in partial
-
-
-def _validated_decorated(n: int):
-    """enumerate_decorated_forests(n) in the same order, every object built
-    through the validating constructors."""
-    for blocks in set_partitions(range(1, n + 1)):
-        for free_idx in range(len(blocks)):
-            for roots in product(*(b for j, b in enumerate(blocks) if j != free_idx)):
-                for combo in product(*map(trees_on, blocks)):
-                    yield DecoratedForest(LabeledForest(n, [e for tree in combo for e in tree]), roots)
-
-
-def _validated_partial(n: int):
-    """enumerate_partial_decorated_forests(n) in the same order, through the
-    validating constructors."""
-    for blocks in set_partitions(range(1, n + 1)):
-        for combo in product(*map(trees_on, blocks)):
-            forest = LabeledForest(n, [e for tree in combo for e in tree])
-            for size in range(len(blocks)):
-                for marked_blocks in combinations(blocks, size):
-                    for roots in product(*marked_blocks):
-                        yield PartialDecoratedForest(forest, roots)
-
-
-def test_enumerators_build_what_the_constructors_validate():
-    counts = []
-    for n in range(1, 7):
-        got, want = list(enumerate_decorated_forests(n)), list(_validated_decorated(n))
-        counts.append(len(got))
-        assert got == want
-        assert [d.forest.components() for d in got] == [d.forest.components() for d in want]
-        assert [d.free_tree_vertices for d in got] == [d.free_tree_vertices for d in want]
-    assert counts == [1, 3, 15, 110, 1080, 13377]
-    for n in range(1, 6):
-        got, want = list(enumerate_partial_decorated_forests(n)), list(_validated_partial(n))
-        assert got == want
-        assert [p.forest.components() for p in got] == [p.forest.components() for p in want]
-        assert [p.free_components() for p in got] == [p.free_components() for p in want]
-    for n in range(1, 7):
-        trees = list(enumerate_trees(n))
-        assert trees == [LabeledForest(n, t.edges) for t in trees]
-        assert all(t.components() == (frozenset(range(1, n + 1)),) for t in trees)
-
+        for edges, marks in forest_selections(n, (n - 1,)):
+            assert (edges, frozenset(marks)) in partial
+            free = [c for c in _brute_components(n, edges) if not c & set(marks)]
+            assert list(map(set, free_components(n, edges, marks))) == free and len(free) == 1

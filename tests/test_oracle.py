@@ -1,25 +1,23 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloperm.cli import approx_string
-from cycloperm.forests import enumerate_partial_decorated_forests
 from cycloperm.oracle import (
     SEMIOPEN_DIRECT_MAX,
+    forest_selections,
     hexagon_area_direct,
+    hits_wall_by_subsets,
     permutohedron_lattice_points_direct,
     semiopen_count_direct,
-)
-from cycloperm.zonotope import (
-    forest_columns,
-    permutohedron_lattice_count,
-    permutohedron_volume,
     sharp_of_partial_forest,
 )
+from cycloperm.zonotope import _columns, permutohedron_lattice_count, permutohedron_volume
 from tests.test_intlin import WORKED_MATRICES, minor_gcd
 
 
@@ -89,9 +87,16 @@ def test_semiopen_direct_matches_minor_gcd(rows):
 
 def test_semiopen_direct_matches_sharp_formula():
     for n in range(2, 5):
-        for p in enumerate_partial_decorated_forests(n):
-            cols = forest_columns(p)
-            assert semiopen_count_direct(cols) == sharp_of_partial_forest(p)
+        for edges, marks in forest_selections(n, range(n)):
+            assert semiopen_count_direct(_columns(n, edges, marks)) == sharp_of_partial_forest(n, edges, marks)
+
+
+def test_hits_wall_by_subsets():
+    assert hits_wall_by_subsets([1, 2, 3])  # {3} against {1, 2}
+    assert not hits_wall_by_subsets([1, 1, 1])  # an odd total has no half
+    assert hits_wall_by_subsets([Fraction(1, 2), Fraction(3, 2), 1])
+    # an odd total past float precision: half of it is no subset sum, exactly
+    assert not hits_wall_by_subsets([2**60, 2**60 + 1, 2])
 
 
 def test_hexagon_area():

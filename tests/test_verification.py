@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cycloperm import forests, verification, zonotope
+from cycloperm import forests, oracle, verification, zonotope
 from cycloperm.oracle import integer_partitions
 
 
@@ -39,10 +39,24 @@ def test_checks_hold_under_optimize():
 
 
 
-def _last_tree_repeats_first(enumerate_trees):
-    def mutated(n):
-        trees = list(enumerate_trees(n))
+def _last_tree_repeats_first(trees_on):
+    def mutated(labels):
+        trees = list(trees_on(labels))
         return iter(trees[:-1] + trees[:1])
+
+    return mutated
+
+
+def _two_marks_per_tree(_):
+    # the predicate with the mark limit per tree raised from one to two
+    def mutated(n, edges, marks):
+        try:
+            trees = oracle.components_of(range(1, n + 1), edges)
+        except ValueError:
+            return None
+        if any(len(tree & set(marks)) > 2 for tree in trees):
+            return None
+        return tuple(tree for tree in trees if tree.isdisjoint(marks))
 
     return mutated
 
@@ -60,7 +74,7 @@ def _without_top(brute_buckets):
     "module, name, mutate, failing",
     [
         pytest.param(
-            forests, "enumerate_trees", _last_tree_repeats_first,
+            oracle, "trees_on", _last_tree_repeats_first,
             ["prufer-roundtrip-cayley", "rooted-forest-tables"], id="duplicated-tree",
         ),
         pytest.param(
@@ -68,8 +82,13 @@ def _without_top(brute_buckets):
             ["rooted-forest-tables"], id="abel-off-by-one",
         ),
         pytest.param(
-            zonotope, "forest_columns", lambda _: lambda f: zonotope._columns(f.forest.vertex_count, f.forest.edges, ()),
-            ["determinant-lemma", "sharp-routes"], id="no-mark-columns",
+            # the brute pass builds its orbit columns here too
+            zonotope, "_columns", lambda columns: lambda n, edges, marks: columns(n, edges, ()),
+            ["determinant-lemma", "cyclo-routes", "sharp-routes", "linkage-volumes"], id="no-mark-columns",
+        ),
+        pytest.param(
+            oracle, "free_components", _two_marks_per_tree,
+            ["determinant-lemma", "sharp-routes"], id="two-marks-per-tree",
         ),
         pytest.param(
             zonotope, "volume_by_forests", lambda vol: lambda n: zonotope.NormalizedVolume(vol(n).coeff + 1, n),

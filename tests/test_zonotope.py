@@ -11,30 +11,26 @@ from hypothesis import strategies as st
 
 from cycloperm import forests, zonotope
 from cycloperm.cli import approx_string
-from cycloperm.forests import (
-    DecoratedForest,
-    LabeledForest,
-    PartialDecoratedForest,
-    enumerate_partial_decorated_forests,
-    forest_count,
-    forest_gcd_sum,
-)
+from cycloperm.forests import forest_count, forest_gcd_sum
 from cycloperm.intlin import det_rows
-from cycloperm.oracle import generator_selections, integer_partitions
+from cycloperm.oracle import (
+    forest_selections,
+    free_components,
+    generator_selections,
+    integer_partitions,
+    sharp_of_partial_forest,
+)
 from cycloperm.zonotope import (
     NormalizedVolume,
     _brute_buckets,
     _columns,
     _minor_gcd,
     edge_vector,
-    forest_columns,
     lattice_count_bruteforce,
     lattice_count_closed_form,
-    ones_vector,
     permutohedron_lattice_count,
     permutohedron_volume,
     radial_vector,
-    sharp_of_partial_forest,
     volume_bruteforce,
     volume_by_forests,
     volume_closed_form,
@@ -47,7 +43,7 @@ def test_generator_vectors():
     assert radial_vector(2, 1) == (-1, 1)
     assert radial_vector(2, 2) == (1, -1)
     assert radial_vector(3, 1) == (-2, 1, 1)
-    assert ones_vector(4) == (1, 1, 1, 1)
+    assert _columns(3, ((1, 3),), (2,)) == [(-1, 0, 1), (1, -2, 1)]
 
 
 def test_normalized_volume():
@@ -109,10 +105,8 @@ def test_permutohedron_volume():
 
 
 def test_det_of_decorated_forest_examples():
-    d = DecoratedForest(LabeledForest(3, [(1, 2)]), [3])
-    assert abs(det_rows(forest_columns(d) + [ones_vector(3)])) == 3 * 2  # n per mark times N(F)
-    d = DecoratedForest(LabeledForest(4, [(1, 2)]), [3, 4])
-    assert abs(det_rows(forest_columns(d) + [ones_vector(4)])) == 4 ** 2 * 2
+    assert abs(det_rows(_columns(3, ((1, 2),), (3,)) + [(1, 1, 1)])) == 3 * 2  # n per mark times N(F)
+    assert abs(det_rows(_columns(4, ((1, 2),), (3, 4)) + [(1, 1, 1, 1)])) == 4 ** 2 * 2
 
 
 # --- the orbit pass over generator selections ---
@@ -165,8 +159,7 @@ def test_brute_pass_is_the_definition(n):
         term, k = (-1) ** len(marks) * minor_gcd(_columns(n, edges, marks)), len(edges) + len(marks)
         buckets[len(marks)][k] += term
         if term:
-            trees = forests.components_of(range(1, n + 1), edges)
-            v = sum(len(tree) for tree in trees if tree.isdisjoint(marks))
+            v = sum(map(len, free_components(n, edges, marks)))
             every[v] += term
             if k == n - 1:
                 top[v] += term
@@ -286,7 +279,7 @@ def _ones_column_identity(n, edges, marks):
     # that row gives det[C | 1] = n * det(C on the first n - 1 rows), sign
     # included.
     cols = _columns(n, edges, marks)
-    assert det_rows(cols + [ones_vector(n)]) == n * det_rows([c[:-1] for c in cols])
+    assert det_rows(cols + [(1,) * n]) == n * det_rows([c[:-1] for c in cols])
 
 
 def test_det_with_ones_column_is_n_times_top_minor():
@@ -306,17 +299,18 @@ def test_det_with_ones_column_random_selections(n, data):
 
 
 def test_sharp_examples():
-    n3 = LabeledForest(3, [(1, 2)])
-    assert sharp_of_partial_forest(PartialDecoratedForest(n3, [3])) == 2
-    assert sharp_of_partial_forest(PartialDecoratedForest(LabeledForest(3), [1, 2])) == 3
-    assert sharp_of_partial_forest(PartialDecoratedForest(LabeledForest(3), [1])) == 1
-    assert sharp_of_partial_forest(PartialDecoratedForest(LabeledForest(3))) == 1
+    assert sharp_of_partial_forest(3, ((1, 2),), (3,)) == 2
+    assert sharp_of_partial_forest(3, (), (1, 2)) == 3
+    assert sharp_of_partial_forest(3, (), (1,)) == 1
+    assert sharp_of_partial_forest(3, (), ()) == 1
+    with pytest.raises(ValueError, match="no partial decorated forest"):
+        sharp_of_partial_forest(3, ((1, 2),), (1, 2))
 
 
 def test_sharp_matches_minor_gcd():
     for n in range(2, 6):
-        for p in enumerate_partial_decorated_forests(n):
-            assert sharp_of_partial_forest(p) == minor_gcd(forest_columns(p))
+        for edges, marks in forest_selections(n, range(n)):
+            assert sharp_of_partial_forest(n, edges, marks) == minor_gcd(_columns(n, edges, marks))
 
 
 def test_lattice_count_known_values():
